@@ -41,7 +41,7 @@ void BM_MortonIndexBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_MortonIndexBuild)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_MortonIndexBuild)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_MortonCountPrefix(benchmark::State& state) {
   Rng rng(3);
@@ -67,7 +67,7 @@ void BM_PrivTreeBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_PrivTreeBuild)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_PrivTreeBuild)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_RangeQuery(benchmark::State& state) {
   Rng data_rng(6);

@@ -69,6 +69,14 @@ class DecompTree {
     return nodes_[id];
   }
 
+  /// Mutable access to a node's domain, for post-processing passes that
+  /// rewrite per-node state in place (the shape stays fixed).
+  Domain& mutable_domain(NodeId id) {
+    PRIVTREE_CHECK_GE(id, 0);
+    PRIVTREE_CHECK_LT(static_cast<std::size_t>(id), nodes_.size());
+    return nodes_[id].domain;
+  }
+
   NodeId root() const {
     PRIVTREE_CHECK(!nodes_.empty());
     return 0;

@@ -53,6 +53,9 @@ class Box {
   /// half and 1 for the upper half.
   Box BisectDim(std::size_t j, int half) const;
 
+  /// Bisects dimension `j` in place, keeping the given half.
+  void Halve(std::size_t j, int half);
+
   /// Human-readable form, e.g. "[0,0.5)x[0.25,0.5)".
   std::string ToString() const;
 

@@ -14,15 +14,21 @@ PointSet::PointSet(std::size_t dim, std::vector<double> coords)
     : dim_(dim), coords_(std::move(coords)) {
   PRIVTREE_CHECK_GT(dim, 0u);
   PRIVTREE_CHECK_EQ(coords_.size() % dim, 0u);
+  CheckFinite(coords_);
+}
+
+void PointSet::CheckFinite(std::span<const double> coords) {
+  // Non-finite coordinates would propagate into undefined behaviour in the
+  // Morton discretization (a NaN cast to an integer); reject them at the
+  // boundary.
+  for (double x : coords) {
+    PRIVTREE_CHECK(std::isfinite(x));
+  }
 }
 
 void PointSet::Add(std::span<const double> point) {
   PRIVTREE_CHECK_EQ(point.size(), dim_);
-  // Non-finite coordinates would propagate into undefined behaviour in the
-  // Morton discretization; reject them at the boundary.
-  for (double x : point) {
-    PRIVTREE_CHECK(std::isfinite(x));
-  }
+  CheckFinite(point);
   coords_.insert(coords_.end(), point.begin(), point.end());
 }
 

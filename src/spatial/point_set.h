@@ -17,14 +17,14 @@ class PointSet {
   explicit PointSet(std::size_t dim);
 
   /// Wraps pre-existing flattened coordinates (size must be a multiple of
-  /// dim).
+  /// dim; every coordinate must be finite, as for Add).
   PointSet(std::size_t dim, std::vector<double> coords);
 
   std::size_t dim() const { return dim_; }
   std::size_t size() const { return coords_.size() / dim_; }
   bool empty() const { return coords_.empty(); }
 
-  /// Appends one point (span of dim() coordinates).
+  /// Appends one point (span of dim() finite coordinates).
   void Add(std::span<const double> point);
 
   /// The i-th point as a span of dim() coordinates.
@@ -43,6 +43,8 @@ class PointSet {
   Box BoundingBox() const;
 
  private:
+  static void CheckFinite(std::span<const double> coords);
+
   std::size_t dim_;
   std::vector<double> coords_;
 };

@@ -13,7 +13,8 @@ QuadtreePolicy::QuadtreePolicy(const MortonIndex& index, Box root,
 }
 
 QuadtreePolicy::Domain QuadtreePolicy::Root() const {
-  return SpatialCell{root_, 0, 0};
+  return SpatialCell{root_, 0, 0, 0,
+                     static_cast<std::uint32_t>(index_.size())};
 }
 
 bool QuadtreePolicy::CanSplit(const Domain& cell) const {
@@ -24,37 +25,44 @@ std::vector<QuadtreePolicy::Domain> QuadtreePolicy::Split(
     const Domain& cell) const {
   PRIVTREE_CHECK(CanSplit(cell));
   const std::size_t dim = root_.dim();
-  // The next dimension to bisect follows the global round-robin bit order:
-  // after `bits` consumed bits, it is bits mod d.
+  const int fanout = 1 << dims_per_split_;
+  const int bits = cell.bits + dims_per_split_;
   std::vector<Domain> children;
-  children.reserve(1u << dims_per_split_);
-  children.push_back(
-      Domain{cell.box, cell.prefix << dims_per_split_,
-             cell.bits + dims_per_split_});
-  // Grow the child list one bisected dimension at a time so child order
-  // matches the Morton bit order (first bisected dimension is the most
-  // significant of the appended bits).
-  for (int step = 0; step < dims_per_split_; ++step) {
-    const std::size_t j = (cell.bits + step) % dim;
-    const int bit_pos = dims_per_split_ - 1 - step;
-    std::vector<Domain> next;
-    next.reserve(children.size() * 2);
-    for (const Domain& child : children) {
-      Domain lower = child;
-      lower.box = child.box.BisectDim(j, 0);
-      next.push_back(std::move(lower));
-      Domain upper = child;
-      upper.box = child.box.BisectDim(j, 1);
-      upper.prefix |= static_cast<MortonKey>(1) << bit_pos;
-      next.push_back(std::move(upper));
+  children.reserve(fanout);
+  std::uint32_t begin = cell.begin;
+  for (int c = 0; c < fanout; ++c) {
+    const MortonKey prefix = (cell.prefix << dims_per_split_) | c;
+    Domain child{cell.box, prefix, bits};
+    // Appended bit `step` (most significant first) picks the half of the
+    // step-th bisected dimension, which follows the global round-robin bit
+    // order: after `cell.bits + step` consumed bits, it is that mod d.
+    for (int step = 0; step < dims_per_split_; ++step) {
+      child.box.Halve((cell.bits + step) % dim,
+                      (c >> (dims_per_split_ - 1 - step)) & 1);
     }
-    children = std::move(next);
+    // Children come in ascending prefix order, so their key ranges tile the
+    // parent's: each ends where the next prefix's keys start, found by a
+    // search inside the parent's range only.
+    child.begin = begin;
+    child.end = c + 1 == fanout
+                    ? cell.end
+                    : index_.LowerBound(prefix + 1, bits, begin, cell.end);
+    begin = child.end;
+    children.push_back(std::move(child));
   }
   return children;
 }
 
 double QuadtreePolicy::Score(const Domain& cell) const {
-  return static_cast<double>(index_.CountPrefix(cell.prefix, cell.bits));
+  return static_cast<double>(cell.end - cell.begin);
+}
+
+void ClearKeyRanges(DecompTree<SpatialCell>* tree) {
+  for (std::size_t i = 0; i < tree->size(); ++i) {
+    SpatialCell& cell = tree->mutable_domain(static_cast<NodeId>(i));
+    cell.begin = 0;
+    cell.end = 0;
+  }
 }
 
 }  // namespace privtree

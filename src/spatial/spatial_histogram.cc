@@ -38,23 +38,25 @@ double SpatialHistogram::Query(const Box& q) const {
   return ans;
 }
 
-namespace {
-
-/// Propagates noisy leaf counts upward: each internal count becomes the sum
-/// of the noisy counts of the leaves below it (Section 3.4).  Relies on
-/// children having larger node ids than their parents.
-void AggregateLeafCounts(const DecompTree<SpatialCell>& tree,
-                         std::vector<double>* count) {
-  const auto& nodes = tree.nodes();
+void ReleaseLeafCounts(double scale, Rng& rng, SpatialHistogram* hist) {
+  const auto& nodes = hist->tree.nodes();
+  hist->count.assign(nodes.size(), 0.0);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (!nodes[i].is_leaf()) continue;
+    const SpatialCell& cell = nodes[i].domain;
+    hist->count[i] = static_cast<double>(cell.end - cell.begin) +
+                     SampleLaplace(rng, scale);
+  }
+  // Children have larger ids than their parents, so one reverse pass sums
+  // every subtree.
   for (std::size_t i = nodes.size(); i-- > 0;) {
     if (nodes[i].is_leaf()) continue;
     double total = 0.0;
-    for (NodeId child : nodes[i].children) total += (*count)[child];
-    (*count)[i] = total;
+    for (NodeId child : nodes[i].children) total += hist->count[child];
+    hist->count[i] = total;
   }
+  ClearKeyRanges(&hist->tree);
 }
-
-}  // namespace
 
 SpatialHistogram BuildPrivTreeHistogram(const PointSet& points,
                                         const Box& domain, double epsilon,
@@ -83,15 +85,7 @@ SpatialHistogram BuildPrivTreeHistogram(const PointSet& points,
 
   // Post-processing: noisy leaf counts with the remaining budget.  One point
   // lies in exactly one leaf, so the leaf-count vector has sensitivity 1.
-  hist.count.assign(hist.tree.size(), 0.0);
-  const double count_scale = 1.0 / count_epsilon;
-  for (NodeId leaf : hist.tree.LeafIds()) {
-    const auto& cell = hist.tree.node(leaf).domain;
-    const double exact =
-        static_cast<double>(index.CountPrefix(cell.prefix, cell.bits));
-    hist.count[leaf] = exact + SampleLaplace(rng, count_scale);
-  }
-  AggregateLeafCounts(hist.tree, &hist.count);
+  ReleaseLeafCounts(1.0 / count_epsilon, rng, &hist);
   return hist;
 }
 
@@ -115,6 +109,7 @@ SpatialHistogram BuildSimpleTreeHistogram(
   hist.tree = std::move(result.tree);
   hist.count = std::move(result.noisy_score);
   hist.count.resize(hist.tree.size(), 0.0);
+  ClearKeyRanges(&hist.tree);
   hist.stats.nodes_visited = hist.tree.size();
   hist.stats.height = hist.tree.Height();
   return hist;

@@ -40,6 +40,13 @@ struct SpatialHistogram {
   double Query(const Box& q) const;
 };
 
+/// The count release shared by the builders whose tree shape is private
+/// on its own (Section 3.4): every leaf gets its exact count, read from its
+/// fit-time key range, plus Lap(`scale`) drawn in leaf-id order; every
+/// internal count is the sum of the noisy leaf counts below it.  Clears the
+/// key ranges, so `hist` is ready to release.
+void ReleaseLeafCounts(double scale, Rng& rng, SpatialHistogram* hist);
+
 /// Options for BuildPrivTreeHistogram.
 struct PrivTreeHistogramOptions {
   /// Dimensions bisected per split; 0 means "all" (β = 2^d, the standard

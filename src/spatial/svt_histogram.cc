@@ -3,7 +3,6 @@
 #include "core/svt_tree.h"
 #include "dp/budget.h"
 #include "dp/check.h"
-#include "dp/distributions.h"
 #include "spatial/morton_index.h"
 #include "spatial/quadtree_policy.h"
 
@@ -44,21 +43,7 @@ SpatialHistogram BuildSvtTreeHistogram(const PointSet& points,
   hist.stats.nodes_split = hist.tree.size() - hist.tree.LeafCount();
   hist.stats.height = hist.tree.Height();
 
-  hist.count.assign(hist.tree.size(), 0.0);
-  const double scale = 1.0 / count_epsilon;
-  for (NodeId leaf : hist.tree.LeafIds()) {
-    const auto& cell = hist.tree.node(leaf).domain;
-    hist.count[leaf] =
-        static_cast<double>(index.CountPrefix(cell.prefix, cell.bits)) +
-        SampleLaplace(rng, scale);
-  }
-  const auto& nodes = hist.tree.nodes();
-  for (std::size_t i = nodes.size(); i-- > 0;) {
-    if (nodes[i].is_leaf()) continue;
-    double total = 0.0;
-    for (NodeId child : nodes[i].children) total += hist.count[child];
-    hist.count[i] = total;
-  }
+  ReleaseLeafCounts(1.0 / count_epsilon, rng, &hist);
   return hist;
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "dp/rng.h"
@@ -135,6 +138,184 @@ TEST(MortonIndexTest, DeepPrefixOfTightClusterKeepsCount) {
     const MortonKey prefix = key >> (index.max_prefix_bits() - bits);
     EXPECT_EQ(index.CountPrefix(prefix, bits), 1000u) << bits;
   }
+}
+
+// Reference key: the same discretization as the index, interleaved one bit
+// at a time (level-major, dimension-minor).
+MortonKey ReferenceKey(std::span<const double> point, const Box& root,
+                       int levels) {
+  const std::size_t dim = root.dim();
+  const double cells = std::ldexp(1.0, levels);
+  const std::uint64_t max_coord = (std::uint64_t{1} << levels) - 1;
+  std::vector<std::uint64_t> coord(dim);
+  for (std::size_t j = 0; j < dim; ++j) {
+    const double normalized = std::clamp(
+        (point[j] - root.lo(j)) * (1.0 / root.Width(j)), 0.0, 1.0);
+    const double scaled = normalized * cells;
+    std::uint64_t c = static_cast<std::uint64_t>(scaled);
+    if (scaled >= cells || c > max_coord) c = max_coord;
+    coord[j] = c;
+  }
+  MortonKey key = 0;
+  for (int level = 0; level < levels; ++level) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      key = (key << 1) | ((coord[j] >> (levels - 1 - level)) & 1u);
+    }
+  }
+  return key;
+}
+
+// Random points plus the edge cases of the discretization: the lower and
+// upper faces of the root, the largest double below each upper bound, and
+// points outside the root on both sides.
+PointSet EdgePoints(const Box& root, std::size_t n, Rng& rng) {
+  const std::size_t dim = root.dim();
+  PointSet points(dim);
+  std::vector<double> p(dim);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      const double lo = root.lo(j);
+      const double hi = root.hi(j);
+      switch (rng.NextBounded(6)) {
+        case 0: p[j] = lo; break;
+        case 1: p[j] = hi; break;
+        case 2: p[j] = std::nextafter(hi, lo); break;
+        case 3: p[j] = lo - 1.0 - rng.NextDouble(); break;
+        case 4: p[j] = hi + 1e6 * rng.NextDouble(); break;
+        default: p[j] = lo + (hi - lo) * rng.NextDouble(); break;
+      }
+    }
+    points.Add(p);
+  }
+  return points;
+}
+
+TEST(MortonIndexTest, KeyOfMatchesBitByBitReferenceForEveryDimension) {
+  Rng rng(10);
+  for (std::size_t dim = 1; dim <= 8; ++dim) {
+    std::vector<double> lo(dim), hi(dim);
+    for (std::size_t j = 0; j < dim; ++j) {
+      lo[j] = -3.0 + j;
+      hi[j] = lo[j] + 0.5 + 2.0 * rng.NextDouble();
+    }
+    const Box root(lo, hi);
+    const PointSet points = EdgePoints(root, 2000, rng);
+    const MortonIndex index(points, root);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      ASSERT_EQ(index.KeyOf(points.point(i)),
+                ReferenceKey(points.point(i), root, index.levels_per_dim()))
+          << "dim=" << dim << " point " << i;
+    }
+  }
+}
+
+TEST(MortonIndexTest, SixtyThreeLevelCapKeepsTopCoordinatesInRange) {
+  // d = 1 and d = 2 both hit the 63-level cap.  At 63 bits, points on the
+  // upper face scale to 2^63 and must clamp to 2^63 - 1 (all key bits set);
+  // the largest double below the face stays just under it.
+  for (std::size_t dim : {1u, 2u}) {
+    const Box root = Box::UnitCube(dim);
+    PointSet points(dim);
+    const std::vector<double> top(dim, std::nextafter(1.0, 0.0));
+    const std::vector<double> face(dim, 1.0);
+    points.Add(top);
+    points.Add(face);
+    const MortonIndex index(points, root);
+    ASSERT_EQ(index.levels_per_dim(), 63);
+    const MortonKey all_ones =
+        (MortonKey{1} << index.max_prefix_bits()) - 1;
+    EXPECT_EQ(index.KeyOf(face), all_ones) << dim;
+    EXPECT_LT(index.KeyOf(top), all_ones) << dim;
+    EXPECT_EQ(index.KeyOf(top), ReferenceKey(top, root, 63)) << dim;
+    EXPECT_EQ(index.CountPrefix(1, 1), 2u) << dim;
+  }
+}
+
+// The index's keys must be exactly the sorted keys of its points.
+void ExpectSortedKeys(const PointSet& points, const Box& root) {
+  const MortonIndex index(points, root);
+  std::vector<MortonKey> expected;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    expected.push_back(index.KeyOf(points.point(i)));
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_TRUE(index.keys() == expected) << "n=" << points.size();
+}
+
+TEST(MortonIndexTest, SortedKeysMatchComparisonSortOnAdversarialInputs) {
+  Rng rng(11);
+  // n = 0 and n = 1.
+  ExpectSortedKeys(PointSet(2), Box::UnitCube(2));
+  ExpectSortedKeys(RandomPoints(1, 2, rng), Box::UnitCube(2));
+  // All-duplicate points: every digit of every key is shared.
+  PointSet same(2);
+  const std::vector<double> p = {0.123, 0.456};
+  for (int i = 0; i < 5000; ++i) same.Add(p);
+  ExpectSortedKeys(same, Box::UnitCube(2));
+  // Every point clamped to one corner (all key bits set).
+  PointSet corner(3);
+  const std::vector<double> far = {9.0, 9.0, 9.0};
+  for (int i = 0; i < 3000; ++i) corner.Add(far);
+  ExpectSortedKeys(corner, Box::UnitCube(3));
+  // d = 8: 15 levels, 120-bit keys.
+  ExpectSortedKeys(RandomPoints(20000, 8, rng), Box::UnitCube(8));
+  // More than 64 keys that differ only in their lowest bits: the sort must
+  // recurse through every digit down to bit 0.
+  for (std::size_t dim : {1u, 2u}) {
+    PointSet low_bits(dim);
+    std::vector<double> q(dim);
+    for (int copy = 0; copy < 3; ++copy) {
+      for (int k = 0; k < 64; ++k) {
+        for (std::size_t j = 0; j < dim; ++j) {
+          q[j] = std::ldexp(static_cast<double>((k >> (3 * j)) & 7), -63);
+        }
+        low_bits.Add(q);
+      }
+    }
+    ExpectSortedKeys(low_bits, Box::UnitCube(dim));
+  }
+  // Bucket sizes on both sides of the comparison-sort cutoff.
+  for (std::size_t n : {63u, 64u, 65u, 257u}) {
+    ExpectSortedKeys(RandomPoints(n, 2, rng), Box::UnitCube(2));
+  }
+  // Every dimension, with clustered, clamped and boundary points mixed in.
+  for (std::size_t dim = 1; dim <= 8; ++dim) {
+    ExpectSortedKeys(EdgePoints(Box::UnitCube(dim), 4000, rng),
+                     Box::UnitCube(dim));
+  }
+}
+
+TEST(MortonIndexTest, SortedKeysMatchComparisonSortOnClusteredData) {
+  // Tight clusters share long key prefixes, so the radix sort recurses
+  // through many digits before buckets fall under the cutoff.
+  Rng rng(12);
+  PointSet points(2);
+  std::vector<double> p(2);
+  for (int i = 0; i < 100000; ++i) {
+    const double spread = i % 3 == 0 ? 1e-9 : (i % 3 == 1 ? 1e-4 : 1.0);
+    for (auto& x : p) x = 0.3 + spread * rng.NextDouble();
+    points.Add(p);
+  }
+  ExpectSortedKeys(points, Box::UnitCube(2));
+}
+
+TEST(MortonIndexTest, LowerBoundSearchesOnlyTheGivenRange) {
+  Rng rng(13);
+  const PointSet points = RandomPoints(5000, 2, rng);
+  const MortonIndex index(points, Box::UnitCube(2));
+  const auto n = static_cast<std::uint32_t>(index.size());
+  // The quadrant boundaries over the whole index, then inside the range of
+  // quadrant 0b01: the searches agree wherever the ranges overlap.
+  const std::uint32_t q1 = index.LowerBound(0b01, 2, 0, n);
+  const std::uint32_t q2 = index.LowerBound(0b10, 2, 0, n);
+  EXPECT_EQ(index.LowerBound(0b0110, 4, q1, q2),
+            index.LowerBound(0b0110, 4, 0, n));
+  EXPECT_EQ(index.LowerBound(0b01, 2, q1, q2), q1);
+  EXPECT_EQ(index.LowerBound(0b10, 2, q1, q2), q2);
+  // A key beyond the range clamps to its end.
+  EXPECT_EQ(index.LowerBound(0b11, 2, q1, q2), q2);
+  // 2^bits is the end of the key space.
+  EXPECT_EQ(index.LowerBound(0b100, 2, 0, n), n);
 }
 
 }  // namespace

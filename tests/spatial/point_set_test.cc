@@ -74,6 +74,10 @@ TEST(PointSetDeathTest, NonFiniteCoordinatesAbort) {
   const std::vector<double> with_inf = {
       std::numeric_limits<double>::infinity(), 0.5};
   EXPECT_DEATH(points.Add(with_inf), "PRIVTREE_CHECK");
+  // The bulk constructor enforces the same invariant.
+  EXPECT_DEATH(PointSet(2, {0.5, 0.5, std::nan(""), 0.5}), "PRIVTREE_CHECK");
+  EXPECT_DEATH(PointSet(2, {0.5, -std::numeric_limits<double>::infinity()}),
+               "PRIVTREE_CHECK");
 }
 
 TEST(PointSetDeathTest, WrongDimensionAborts) {
