@@ -15,8 +15,8 @@
 // Rng).
 //
 //   bench_table4_runtime [--threads=N] [--json[=PATH]] [--datasets=a,b,...]
-//                        [--queries=N] [--clients=N] [--loop=epoll|threads]
-//                        [--chaos] [--kernels[=PATH]]
+//                        [--queries=N] [--clients=N] [--chaos]
+//                        [--kernels[=PATH]]
 //
 // PRIVTREE_SOCKET_ROUNDS=<r> overrides the closed-loop requests per
 // connection in the socket phase (default 3) — useful for longer, less
@@ -44,19 +44,16 @@
 // skip.
 //
 // On top of the in-process engine measurements, a *socket* phase hosts
-// every dataset as a tenant of one DatasetRegistry behind the selected
-// wire loop (--loop=epoll, the default, or --loop=threads for the
-// thread-per-connection oracle) and drives it with --clients=N concurrent
-// TCP connections from a single-threaded epoll client driver: each
-// connection runs a closed loop of pre-encoded query-batch frames
+// every dataset as a tenant of one DatasetRegistry behind the epoll
+// EventLoop and drives it with --clients=N concurrent TCP connections
+// from a single-threaded epoll client driver: each connection runs a
+// closed loop of pre-encoded query-batch frames
 // (round-robin across the tenants, so spatial and sequence traffic mix),
 // and every request's wall-clock latency is recorded for p50/p99.  The
 // driver multiplexes all N connections on one thread, so --clients=1000+
 // measures connection scaling of the server loop, not of the driver.  The
 // phase ends with a parity check: the answers served over the socket must
-// be bit-for-bit identical to the in-process AsyncEngine answers (and, in
-// epoll mode, to a thread-per-connection ServerLoop on the same
-// dispatcher).
+// be bit-for-bit identical to the in-process AsyncEngine answers.
 //
 // --clients also sizes the in-process closed loop, capped at 16 threads
 // there (that loop measures engine dispatch, not connection scaling — the
@@ -119,7 +116,6 @@
 #include "server/event/event_loop.h"
 #include "server/protocol.h"
 #include "server/request.h"
-#include "server/server_loop.h"
 #include "server/socket.h"
 #include "spatial/serialization.h"
 #include "spatial/spatial_histogram.h"
@@ -487,10 +483,9 @@ std::vector<MethodPerf> RunRegistrySweep(serve::ThreadPool& pool,
   return out;
 }
 
-/// Socket-phase results: the selected wire loop serving every dataset as a
+/// Socket-phase results: the epoll loop serving every dataset as a
 /// tenant, driven by `clients` concurrent connections.
 struct SocketPerf {
-  std::string loop;            // "epoll" or "threads".
   std::size_t clients = 0;     // Concurrent connections.
   std::size_t rounds = 0;      // Closed-loop requests per connection.
   std::size_t batch = 0;       // Queries per request frame.
@@ -506,13 +501,13 @@ struct SocketPerf {
   // registry (reset after warm-up, so counts cover exactly the loop).
   LatencyBreakdown queue_wait;
   LatencyBreakdown kernel;
-  LatencyBreakdown request;  // End-to-end per-frame; epoll loop only.
+  LatencyBreakdown request;  // End-to-end per-frame.
   // The GetStats-over-the-wire consistency gate: counters the server
   // reports must agree bit-for-bit with this driver's own accounting.
   std::uint64_t stats_admitted = 0;
   std::uint64_t stats_shed = 0;
   bool stats_consistent = false;
-  bool parity = false;  // Socket answers == in-process (== oracle loop).
+  bool parity = false;  // Socket answers == in-process answers.
   bool ok = false;
 };
 
@@ -779,14 +774,12 @@ std::vector<std::vector<double>> FetchSocketAnswers(
 }
 
 /// The socket serving phase: every dataset registered as a tenant of one
-/// DatasetRegistry, served by the selected loop, load-tested by the epoll
-/// client driver, then parity-checked against the in-process engines (and,
-/// in epoll mode, against a ServerLoop oracle on the same dispatcher).
+/// DatasetRegistry, served by the epoll loop, load-tested by the epoll
+/// client driver, then parity-checked against the in-process engines.
 SocketPerf RunSocketPhase(serve::ThreadPool& pool,
                           const std::vector<DatasetHolder>& holders,
-                          const std::string& loop_kind, std::size_t clients) {
+                          std::size_t clients) {
   SocketPerf perf;
-  perf.loop = loop_kind;
   perf.clients = clients;
   perf.rounds = 3;
   if (const char* value = std::getenv("PRIVTREE_SOCKET_ROUNDS")) {
@@ -845,23 +838,14 @@ SocketPerf RunSocketPhase(serve::ThreadPool& pool,
                  listener.status().ToString().c_str());
     return perf;
   }
-  std::optional<server::EventLoop> event_loop;
-  std::optional<server::ServerLoop> thread_loop;
-  std::uint16_t port = 0;
-  std::thread server_thread;
-  if (loop_kind == "epoll") {
-    event_loop.emplace(dispatcher, std::move(listener).value());
-    port = event_loop->port();
-    server_thread = std::thread([&] { (void)event_loop->Run(); });
-  } else {
-    thread_loop.emplace(dispatcher, std::move(listener).value());
-    port = thread_loop->port();
-    server_thread = std::thread([&] { (void)thread_loop->Run(); });
-  }
+  server::EventLoop event_loop(dispatcher, std::move(listener).value());
+  const std::uint16_t port = event_loop.port();
+  // lint-ok: discarded-status — a failed loop shows up as failed client
+  // requests in the closed loop below.
+  std::thread server_thread([&] { (void)event_loop.Run(); });
   const auto stop_server = [&] {
-    if (event_loop) event_loop->Stop();
-    if (thread_loop) thread_loop->Stop();
-    if (server_thread.joinable()) server_thread.join();
+    event_loop.Stop();
+    server_thread.join();
   };
 
   // Warm every tenant's ε=1 synopsis through the wire, so the load test
@@ -918,9 +902,8 @@ SocketPerf RunSocketPhase(serve::ThreadPool& pool,
   // bit-for-bit with this driver's closed-loop accounting.  Every driver
   // frame is one admitted request, one queue wait, and one kernel batch;
   // the shed counters must read zero (the queue was provisioned for
-  // 2x clients above).  On the epoll loop, served frames additionally
-  // equal the driver's requests plus this client's Hello and the GetStats
-  // frame itself.
+  // 2x clients above).  Served frames additionally equal the driver's
+  // requests plus this client's Hello and the GetStats frame itself.
 #ifdef PRIVTREE_NO_METRICS
   // Nothing to compare: the registry is compiled out and GetStats
   // truthfully reports empty sections.  The gate passes vacuously so the
@@ -956,15 +939,12 @@ SocketPerf RunSocketPhase(serve::ThreadPool& pool,
             kernel_at == std::string::npos
                 ? 0
                 : JsonUintField(snapshot, "count", kernel_at);
+        const std::uint64_t served_frames =
+            JsonUintField(snapshot, "event.served_frames");
         perf.stats_consistent =
             perf.stats_admitted == perf.requests && perf.stats_shed == 0 &&
-            queue_count == perf.requests && kernel_count == perf.requests;
-        if (loop_kind == "epoll") {
-          const std::uint64_t served_frames =
-              JsonUintField(snapshot, "event.served_frames");
-          perf.stats_consistent = perf.stats_consistent &&
-                                  served_frames == perf.requests + 2;
-        }
+            queue_count == perf.requests && kernel_count == perf.requests &&
+            served_frames == perf.requests + 2;
         if (!perf.stats_consistent) {
           std::fprintf(stderr,
                        "error: GetStats counters disagree with the driver: "
@@ -983,8 +963,7 @@ SocketPerf RunSocketPhase(serve::ThreadPool& pool,
 #endif  // PRIVTREE_NO_METRICS
 
   // Parity: the answers this loop serves vs. the in-process AsyncEngine
-  // answers for the same (spec, fingerprint, workload) — and, in epoll
-  // mode, vs. a thread-per-connection oracle sharing the dispatcher.
+  // answers for the same (spec, fingerprint, workload).
   bool parity = true;
   const auto socket_answers = FetchSocketAnswers(port, traffic, &parity);
   std::vector<std::vector<double>> local_answers;
@@ -1005,28 +984,10 @@ SocketPerf RunSocketPhase(serve::ThreadPool& pool,
     local_answers.push_back(std::move(response.answers));
   }
   parity = parity && socket_answers == local_answers;
-  if (loop_kind == "epoll" && parity) {
-    auto oracle_listener = server::ListenSocket::Listen(0);
-    if (oracle_listener.ok()) {
-      server::ServerLoop oracle(dispatcher,
-                                std::move(oracle_listener).value());
-      // lint-ok: discarded-status — the bench tolerates a failed oracle
-      // loop (oracle_ok tracks per-query success below).
-      std::thread oracle_thread([&] { (void)oracle.Run(); });
-      bool oracle_ok = true;
-      const auto oracle_answers =
-          FetchSocketAnswers(oracle.port(), traffic, &oracle_ok);
-      oracle.Stop();
-      oracle_thread.join();
-      parity = oracle_ok && oracle_answers == socket_answers;
-    } else {
-      parity = false;
-    }
-  }
   perf.parity = parity;
   perf.ok = perf.ok && parity;
 
-  if (event_loop) perf.peak_connections = event_loop->stats().max_concurrent;
+  perf.peak_connections = event_loop.stats().max_concurrent;
   stop_server();
   return perf;
 }
@@ -1357,13 +1318,13 @@ void WriteJson(const std::string& path, std::size_t threads, std::size_t reps,
   WriteMethodsJson(f, seq_methods);
   std::fprintf(
       f,
-      "  ]},\n  \"socket\": {\"loop\": \"%s\", \"clients\": %zu, "
+      "  ]},\n  \"socket\": {\"clients\": %zu, "
       "\"rounds\": %zu, \"batch\": %zu,\n"
       "    \"requests\": %zu, \"failed\": %zu, \"wall_seconds\": %.6g, "
       "\"requests_per_second\": %.6g,\n"
       "    \"served_qps\": %.6g, \"p50_ms\": %.6g, \"p99_ms\": %.6g, "
       "\"peak_connections\": %llu, \"parity\": %s,\n    ",
-      socket.loop.c_str(), socket.clients, socket.rounds, socket.batch,
+      socket.clients, socket.rounds, socket.batch,
       socket.requests, socket.failed, socket.wall_seconds,
       socket.requests_per_second, socket.queries_per_second, socket.p50_ms,
       socket.p99_ms,
@@ -1885,7 +1846,6 @@ int main(int argc, char** argv) {
 
   std::size_t threads = privtree::serve::DefaultThreadCount();
   std::string json_path;
-  std::string loop_kind = "epoll";
   std::vector<std::string> datasets = {"road", "gowalla", "nyc",
                                        "beijing", "mooc", "msnbc"};
   std::size_t query_count = privtree::PaperScale() ? 10000 : 2000;
@@ -1912,12 +1872,6 @@ int main(int argc, char** argv) {
       json_path = "BENCH_table4.json";  // The committed repo-root snapshot.
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(std::strlen("--json="));
-    } else if (arg.rfind("--loop=", 0) == 0) {
-      loop_kind = arg.substr(std::strlen("--loop="));
-      if (loop_kind != "epoll" && loop_kind != "threads") {
-        std::fprintf(stderr, "error: --loop must be epoll or threads\n");
-        return 2;
-      }
     } else if (arg.rfind("--queries=", 0) == 0) {
       query_count = static_cast<std::size_t>(
           std::atol(arg.c_str() + std::strlen("--queries=")));
@@ -1934,7 +1888,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--threads=N] [--json[=PATH]] "
                    "[--datasets=a,b,...] [--queries=N] [--clients=N] "
-                   "[--loop=epoll|threads] [--chaos] [--kernels[=PATH]]\n",
+                   "[--chaos] [--kernels[=PATH]]\n",
                    argv[0]);
       return 2;
     }
@@ -2070,13 +2024,13 @@ int main(int argc, char** argv) {
   print_sweep(seq_sweep_dataset, seq_methods);
 
   // The socket phase: every dataset a tenant of one registry behind the
-  // selected wire loop, --clients concurrent connections, p50/p99 per
+  // epoll loop, --clients concurrent connections, p50/p99 per
   // request, and a bit-for-bit parity check against the in-process
   // engines.
   const privtree::bench::SocketPerf socket_perf =
-      privtree::bench::RunSocketPhase(pool, holders, loop_kind, clients);
+      privtree::bench::RunSocketPhase(pool, holders, clients);
   TablePrinter socket_table(
-      "Companion: socket serving (" + socket_perf.loop + " loop, " +
+      "Companion: socket serving (epoll loop, " +
           std::to_string(socket_perf.clients) + " connection" +
           (socket_perf.clients == 1 ? "" : "s") + " x " +
           std::to_string(socket_perf.rounds) + " rounds, " +
@@ -2084,15 +2038,13 @@ int main(int argc, char** argv) {
       "loop",
       {"requests", "wall s", "req/s", "qps", "p50 ms", "p99 ms", "peak"});
   socket_table.AddRow(
-      socket_perf.loop,
+      "epoll",
       {static_cast<double>(socket_perf.requests), socket_perf.wall_seconds,
        socket_perf.requests_per_second, socket_perf.queries_per_second,
        socket_perf.p50_ms, socket_perf.p99_ms,
        static_cast<double>(socket_perf.peak_connections)});
   socket_table.Print();
-  std::printf("socket parity (%s vs in-process%s): %s\n",
-              socket_perf.loop.c_str(),
-              socket_perf.loop == "epoll" ? " vs threads oracle" : "",
+  std::printf("socket parity (epoll vs in-process): %s\n",
               socket_perf.parity ? "bit-for-bit identical" : "MISMATCH");
   std::printf(
       "socket GetStats: admitted=%llu shed=%llu vs %zu driver requests "

@@ -7,8 +7,8 @@
 //
 // Flags: [--port=N] [--threads=N] [--cache=N] [--max-queue=N]
 //        [--max-pending-spills=N] [--spill-dir=PATH]
-//        [--loop=epoll|threads] [--idle-timeout-ms=N]
-//        [--drain-timeout-ms=N] [--max-connections=N]
+//        [--idle-timeout-ms=N] [--drain-timeout-ms=N]
+//        [--max-connections=N]
 //        [--session-budget=EPS] [--no-uploads]
 //        [--stats-file=PATH] [--stats-interval-ms=N] [--trace-slow-ms=N]
 //
@@ -23,15 +23,12 @@
 // Clients may also upload datasets at runtime via RegisterDataset frames
 // unless --no-uploads.
 //
-// --loop picks the serving front end: `epoll` (default) multiplexes every
-// connection over one readiness loop — the production choice at high
-// connection counts — while `threads` parks one thread per client and
-// exists as the parity oracle; both route through one Dispatcher, so their
-// answers are bit-for-bit identical (and equal in-process ReleaseSession
-// answers for the same seed).  --session-budget caps each connection's
-// total ε across its fits (0 = unlimited).  The process runs until a
-// client sends Shutdown (`privtree_cli shutdown --connect=...`) or it is
-// signalled.
+// One epoll EventLoop multiplexes every connection; frames route through
+// one Dispatcher, so served answers equal in-process ReleaseSession
+// answers for the same seed bit-for-bit.  --session-budget caps each
+// connection's total ε across its fits (0 = unlimited).  The process runs
+// until a client sends Shutdown (`privtree_cli shutdown --connect=...`) or
+// it is signalled.
 //
 // Observability: --stats-file=PATH snapshots the whole metrics registry
 // (the same JSON a GetStats frame returns) to PATH every
@@ -60,7 +57,6 @@
 #include "server/dataset_registry.h"
 #include "server/dispatcher.h"
 #include "server/event/event_loop.h"
-#include "server/server_loop.h"
 #include "server/socket.h"
 #include "spatial/box.h"
 
@@ -74,8 +70,8 @@ int Usage(const char* argv0) {
       "[flags]\n"
       "flags: [--port=N] [--threads=N] [--cache=N] [--max-queue=N]\n"
       "       [--max-pending-spills=N] [--spill-dir=PATH]\n"
-      "       [--loop=epoll|threads] [--idle-timeout-ms=N]\n"
-      "       [--drain-timeout-ms=N] [--max-connections=N]\n"
+      "       [--idle-timeout-ms=N] [--drain-timeout-ms=N]\n"
+      "       [--max-connections=N]\n"
       "       [--session-budget=EPS] [--no-uploads]\n"
       "       [--stats-file=PATH] [--stats-interval-ms=N] "
       "[--trace-slow-ms=N]\n",
@@ -144,7 +140,6 @@ struct ServerFlags {
   std::size_t max_queue = 256;
   std::size_t max_pending_spills = 128;
   std::string spill_dir;
-  bool epoll = true;
   std::size_t idle_timeout_ms = 30000;
   std::size_t drain_timeout_ms = 5000;
   std::size_t max_connections = 4096;
@@ -265,10 +260,6 @@ int main(int argc, char** argv) {
       flags.stats_file = arg.substr(std::strlen("--stats-file="));
     } else if (arg.rfind("--spill-dir=", 0) == 0) {
       flags.spill_dir = arg.substr(std::strlen("--spill-dir="));
-    } else if (arg == "--loop=epoll") {
-      flags.epoll = true;
-    } else if (arg == "--loop=threads") {
-      flags.epoll = false;
     } else if (arg.rfind("--session-budget=", 0) == 0) {
       flags.session_budget =
           std::atof(arg.c_str() + std::strlen("--session-budget="));
@@ -354,49 +345,31 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  privtree::Status served = privtree::Status::OK();
-  std::uint16_t port = 0;
-  if (flags.epoll) {
-    privtree::server::EventLoopOptions loop_options;
-    loop_options.idle_timeout =
-        std::chrono::milliseconds(flags.idle_timeout_ms);
-    loop_options.drain_timeout =
-        std::chrono::milliseconds(flags.drain_timeout_ms);
-    loop_options.max_connections = flags.max_connections;
-    privtree::server::EventLoop loop(dispatcher,
-                                     std::move(listener).value(),
-                                     loop_options);
-    port = loop.port();
-    std::fprintf(stderr,
-                 "privtree_server listening on 127.0.0.1:%u "
-                 "(epoll, %zu tenant%s, %zu worker%s, cache %zu)\n",
-                 port, registry.size(), registry.size() == 1 ? "" : "s",
-                 pool.worker_count(), pool.worker_count() == 1 ? "" : "s",
-                 flags.cache_capacity);
-    std::fflush(stderr);
-    served = loop.Run();
-    const auto stats = loop.stats();
-    std::fprintf(stderr,
-                 "privtree_server event loop: %llu accepted, %llu frames, "
-                 "%llu reaped idle, %llu malformed, %llu refused\n",
-                 static_cast<unsigned long long>(stats.accepted),
-                 static_cast<unsigned long long>(stats.served_frames),
-                 static_cast<unsigned long long>(stats.reaped_idle),
-                 static_cast<unsigned long long>(stats.malformed_frames),
-                 static_cast<unsigned long long>(stats.refused_at_capacity));
-  } else {
-    privtree::server::ServerLoop loop(dispatcher,
-                                      std::move(listener).value());
-    port = loop.port();
-    std::fprintf(stderr,
-                 "privtree_server listening on 127.0.0.1:%u "
-                 "(threads, %zu tenant%s, %zu worker%s, cache %zu)\n",
-                 port, registry.size(), registry.size() == 1 ? "" : "s",
-                 pool.worker_count(), pool.worker_count() == 1 ? "" : "s",
-                 flags.cache_capacity);
-    std::fflush(stderr);
-    served = loop.Run();
-  }
+  privtree::server::EventLoopOptions loop_options;
+  loop_options.idle_timeout = std::chrono::milliseconds(flags.idle_timeout_ms);
+  loop_options.drain_timeout =
+      std::chrono::milliseconds(flags.drain_timeout_ms);
+  loop_options.max_connections = flags.max_connections;
+  privtree::server::EventLoop loop(dispatcher, std::move(listener).value(),
+                                   loop_options);
+  std::fprintf(stderr,
+               "privtree_server listening on 127.0.0.1:%u "
+               "(epoll, %zu tenant%s, %zu worker%s, cache %zu)\n",
+               loop.port(), registry.size(), registry.size() == 1 ? "" : "s",
+               pool.worker_count(), pool.worker_count() == 1 ? "" : "s",
+               flags.cache_capacity);
+  std::fflush(stderr);
+  const privtree::Status served = loop.Run();
+  const auto loop_stats = loop.stats();
+  std::fprintf(stderr,
+               "privtree_server event loop: %llu accepted, %llu frames, "
+               "%llu reaped idle, %llu malformed, %llu refused\n",
+               static_cast<unsigned long long>(loop_stats.accepted),
+               static_cast<unsigned long long>(loop_stats.served_frames),
+               static_cast<unsigned long long>(loop_stats.reaped_idle),
+               static_cast<unsigned long long>(loop_stats.malformed_frames),
+               static_cast<unsigned long long>(
+                   loop_stats.refused_at_capacity));
   if (stats_writer) stats_writer->Stop();
   if (!served.ok()) {
     std::fprintf(stderr, "error: %s\n", served.ToString().c_str());

@@ -2,11 +2,11 @@
 // to socket write and records how long each pipeline stage took.
 //
 // The trace id is a u64 carried in the optional protocol-v5 kTraced frame
-// header; when a client does not send one (all v4 traffic), the server
-// generates a process-unique id so every request is still traceable in
-// logs.  Spans are recorded as microsecond durations; a span the request
-// never reached stays -1 (e.g. kKernel for a Fit, or everything past
-// kAdmission for a shed request).
+// header; when a client does not send one, the server generates a
+// process-unique id so every request is still traceable in logs.  Spans
+// are recorded as microsecond durations; a span the request never reached
+// stays -1 (e.g. kKernel for a Fit, or everything past kAdmission for a
+// shed request).
 //
 // Finished traces land in a fixed-capacity ring (TraceRing::Global()) for
 // post-hoc inspection from tests and the slow-request log: when a

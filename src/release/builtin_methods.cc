@@ -25,6 +25,7 @@
 #include "release/sequence_methods.h"
 #include "release/serialization.h"
 #include "release/tree_batch.h"
+#include "spatial/morton_index.h"
 #include "spatial/serialization.h"
 #include "spatial/spatial_histogram.h"
 
@@ -734,22 +735,24 @@ void RegisterBuiltinMethods(MethodRegistry& registry) {
       {.description = "PrivTree decomposition + noisy leaf counts (Sec. 3.4)",
        .display = "PrivTree",
        // dims_per_split <= 0 means "use the default"; the upper bound is
-       // the global dimensionality cap (ValidateSpec additionally checks
-       // it against the served dataset's dim).
-       .allowed_keys = {{"dims_per_split", kInt, 0, 8},
+       // the Morton index's dimensionality cap (ValidateSpec additionally
+       // checks it against the served dataset's dim).
+       .allowed_keys = {{"dims_per_split", kInt, 0, MortonIndex::kMaxDim},
                         {"tree_budget_fraction", kDouble, 0, 1, true},
                         {"max_depth", kInt, 1, 4096},
                         {"count_quantum", kDouble, 0, kInf}},
+       .max_dim = MortonIndex::kMaxDim,
        .factory = FactoryFor<PrivTreeMethod>(),
        .loader = SpatialTreeLoaderFor<PrivTreeMethod>()});
   registry.Register(
       "simpletree",
       {.description = "fixed-height noisy quadtree baseline (Algorithm 1)",
        .display = "SimpleTree",
-       .allowed_keys = {{"dims_per_split", kInt, 0, 8},
+       .allowed_keys = {{"dims_per_split", kInt, 0, MortonIndex::kMaxDim},
                         {"height", kInt, 1, 64},
                         {"theta", kDouble},
                         {"count_quantum", kDouble, 0, kInf}},
+       .max_dim = MortonIndex::kMaxDim,
        .factory = FactoryFor<SimpleTreeMethod>(),
        .loader = SpatialTreeLoaderFor<SimpleTreeMethod>()});
   registry.Register(

@@ -42,10 +42,10 @@ using MethodLoader = std::function<Result<std::unique_ptr<Method>>(
 class MethodRegistry {
  public:
   /// One registered backend.  `allowed_keys` lists every option key the
-  /// factory accepts (with its value type) and `required_dim` the hard
-  /// dimensionality constraint (0 = any), so user-facing surfaces can
-  /// reject a typo or an unsupported input gracefully before the aborting
-  /// contract checks run.
+  /// factory accepts (with its value type) and `required_dim` / `max_dim`
+  /// the hard dimensionality constraints (0 = any), so user-facing surfaces
+  /// can reject a typo or an unsupported input gracefully before the
+  /// aborting contract checks run.
   struct Entry {
     std::string description;  ///< One-line summary for `--list` surfaces.
     std::string display;      ///< Column label for tables ("PrivTree").
@@ -56,6 +56,7 @@ class MethodRegistry {
     /// points (or vice versa) fails with a clean error, never an abort.
     DatasetKind kind = DatasetKind::kSpatial;
     std::size_t required_dim = 0;  ///< Exact input dim required; 0 = any.
+    std::size_t max_dim = 0;  ///< Largest input dim supported; 0 = any.
     /// Largest dimensionality the method is practical at (cost grows too
     /// fast beyond it — e.g. complete hierarchies); 0 = no limit.
     /// Evaluation lineups use it to decide inclusion; it is advisory, not

@@ -176,6 +176,13 @@ Status AsyncEngine::ValidateSpec(const FitSpec& spec) const {
         std::to_string(required) + "-dimensional data (serving dim=" +
         std::to_string(data_.dim()) + ")");
   }
+  const std::size_t max_dim = registry.Get(spec.method).max_dim;
+  if (data_.is_spatial() && max_dim != 0 && data_.dim() > max_dim) {
+    return Status::InvalidArgument(
+        "method \"" + spec.method + "\" supports at most " +
+        std::to_string(max_dim) + "-dimensional data (serving dim=" +
+        std::to_string(data_.dim()) + ")");
+  }
   if (!(spec.epsilon > 0.0)) {
     return Status::InvalidArgument("epsilon must be positive");
   }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "core/sync.h"
 #include "obs/export.h"
 #include "release/registry.h"
 #include "server/request.h"
@@ -236,44 +235,20 @@ void Dispatcher::HandleFrame(std::string_view payload,
   }
 }
 
-std::string Dispatcher::HandleFrameBlocking(
-    std::string_view payload, const std::shared_ptr<ClientSession>& session,
-    bool* shutdown) {
-  Mutex mu;
-  CondVar cv;
-  std::string reply;
-  bool ready = false;
-  HandleFrame(payload, session, shutdown, [&](std::string out) {
-    // Notify while still holding the lock: the waiter destroys mu/cv as
-    // soon as it observes `ready`, so an unlocked NotifyOne could touch a
-    // dead condition variable (TSan catches exactly that).
-    MutexLock lk(mu);
-    reply = std::move(out);
-    ready = true;
-    cv.NotifyOne();
-  });
-  MutexLock lk(mu);
-  while (!ready) cv.Wait(lk);
-  return reply;
-}
-
 std::string Dispatcher::HandleHello(std::string_view payload,
                                     const ClientSession& session) const {
   HelloRequest request;
   if (Status s = DecodeHello(payload, &request); !s.ok()) {
     return EncodeErrorReply(s);
   }
-  if (request.version < kMinProtocolVersion ||
-      request.version > kProtocolVersion) {
+  if (request.version != kProtocolVersion) {
     return EncodeErrorReply(Status::InvalidArgument(
         "protocol version " + std::to_string(request.version) +
-        " unsupported (server speaks " + std::to_string(kMinProtocolVersion) +
-        ".." + std::to_string(kProtocolVersion) + ")"));
+        " unsupported (server speaks " + std::to_string(kProtocolVersion) +
+        ")"));
   }
   HelloReply reply;
-  // Echo the *requested* version: a v4 client checks for exactly 4, so the
-  // reply must carry 4 back for old binaries to round-trip unchanged.
-  reply.version = request.version;
+  reply.version = kProtocolVersion;
   reply.datasets = registry_.List();
   if (!reply.datasets.empty()) {
     const DatasetInfo& fallback = reply.datasets.front();

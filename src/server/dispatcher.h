@@ -1,19 +1,16 @@
-// Protocol dispatch shared by both serving loops.
+// Protocol dispatch for the serving loop.
 //
 // One Dispatcher turns a decoded frame into a reply payload against a
 // DatasetRegistry (which tenant?) and a ClientSession (how much budget is
-// left?).  The thread-per-connection ServerLoop and the epoll EventLoop
-// both route every frame through this one switch, so "epoll answers are
-// bit-for-bit thread-loop answers" holds structurally: there is exactly
-// one implementation of the protocol semantics.
+// left?).  The epoll EventLoop routes every frame through this one switch,
+// so it holds no protocol semantics of its own.
 //
 // The API is asynchronous: HandleFrame invokes `done(reply)` exactly once —
 // synchronously for control frames (Hello, Warm, Stats, Shutdown,
 // RegisterDataset) and every error caught before submission, or from a
 // pool thread's completion callback for engine-backed frames (Fit,
 // QueryBatch, SeqQueryBatch), which is what lets the event loop pipeline
-// requests without parking a thread per in-flight frame.  The blocking
-// wrapper exists for the thread-per-connection loop.
+// requests without parking a thread per in-flight frame.
 //
 // Budget semantics: every fit-carrying request charges its spec's ε to the
 // session the first time the session touches that synopsis key (repeats
@@ -74,12 +71,6 @@ class Dispatcher {
   void HandleFrame(std::string_view payload,
                    const std::shared_ptr<ClientSession>& session,
                    bool* shutdown, Done done, obs::TracePtr trace = {});
-
-  /// Blocking form for the thread-per-connection loop: parks the calling
-  /// thread until the reply is ready.
-  std::string HandleFrameBlocking(
-      std::string_view payload,
-      const std::shared_ptr<ClientSession>& session, bool* shutdown);
 
   DatasetRegistry& registry() const { return registry_; }
   const DispatcherOptions& options() const { return options_; }

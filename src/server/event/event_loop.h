@@ -1,9 +1,9 @@
 // The epoll readiness loop: production-connection-count serving on one
 // thread.
 //
-// Where ServerLoop parks a thread per client, this loop multiplexes every
-// connection over one level-triggered epoll instance with non-blocking
-// per-connection read/write buffers.  A readable connection is drained into
+// This loop multiplexes every connection over one level-triggered epoll
+// instance with non-blocking per-connection read/write buffers, so a client
+// costs a buffer, not a thread.  A readable connection is drained into
 // its input buffer and parsed into length-prefixed frames; each complete
 // frame is handed to the shared Dispatcher, whose completion callback (run
 // on an engine pool thread for fit/query frames) posts the reply to a
@@ -26,8 +26,8 @@
 // connections close, and anything still open when the drain timeout
 // expires is force-closed so Run() always returns.
 //
-// Answers are bit-for-bit ServerLoop (and in-process ReleaseSession)
-// answers because both loops share one Dispatcher — this file contains no
+// Answers are bit-for-bit in-process ReleaseSession answers because every
+// frame goes through the shared Dispatcher — this file contains no
 // protocol semantics at all, only readiness plumbing.
 #ifndef PRIVTREE_SERVER_EVENT_EVENT_LOOP_H_
 #define PRIVTREE_SERVER_EVENT_EVENT_LOOP_H_

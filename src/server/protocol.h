@@ -89,14 +89,10 @@ namespace privtree::server {
 /// accounting surfaced in HelloReply.
 /// v4 added the ErrorReply retry-after hint (u64 milliseconds, 0 = none).
 /// v5 added observability: the optional Traced envelope (a u64 trace id
-/// wrapped around any request frame), the GetStats JSON snapshot frame,
-/// and version negotiation — the server accepts any Hello version in
-/// [kMinProtocolVersion, kProtocolVersion] and echoes the *requested*
-/// version, so v4 clients round-trip bit-for-bit.
+/// wrapped around any request frame) and the GetStats JSON snapshot frame.
+/// The server speaks exactly this version: a Hello carrying any other one
+/// is refused with InvalidArgument.
 inline constexpr std::uint32_t kProtocolVersion = 5;
-
-/// Oldest client version the server still speaks (see HelloReply echo).
-inline constexpr std::uint32_t kMinProtocolVersion = 4;
 
 /// Upper bound on one frame payload (a sanity cap against a garbage length
 /// prefix, not a protocol limit).

@@ -7,7 +7,7 @@
 // returns Status/Result (no exceptions, no aborts on peer misbehaviour);
 // a peer that closes cleanly between frames surfaces as NotFound("eof"),
 // anything else as IOError.  ShutdownBoth() unblocks a thread parked in
-// RecvFrame from another thread — the lever ServerLoop::Stop uses.
+// RecvFrame from another thread.
 #ifndef PRIVTREE_SERVER_SOCKET_H_
 #define PRIVTREE_SERVER_SOCKET_H_
 

@@ -11,15 +11,14 @@
 namespace privtree {
 namespace {
 
-constexpr std::size_t kMaxDim = 8;
-
 // kSpread[d][b] moves bit i of the byte b to bit i·d, so one lookup places
 // eight coordinate bits on their stride-d key positions.
 using SpreadTable = std::array<std::uint64_t, 256>;
+using SpreadTables = std::array<SpreadTable, MortonIndex::kMaxDim + 1>;
 
-constexpr std::array<SpreadTable, kMaxDim + 1> MakeSpreadTables() {
-  std::array<SpreadTable, kMaxDim + 1> tables{};
-  for (std::size_t d = 1; d <= kMaxDim; ++d) {
+constexpr SpreadTables MakeSpreadTables() {
+  SpreadTables tables{};
+  for (std::size_t d = 1; d <= MortonIndex::kMaxDim; ++d) {
     for (std::size_t b = 0; b < 256; ++b) {
       for (std::size_t i = 0; i < 8; ++i) {
         if ((b >> i) & 1) tables[d][b] |= std::uint64_t{1} << (i * d);
@@ -29,7 +28,7 @@ constexpr std::array<SpreadTable, kMaxDim + 1> MakeSpreadTables() {
   return tables;
 }
 
-constexpr std::array<SpreadTable, kMaxDim + 1> kSpread = MakeSpreadTables();
+constexpr SpreadTables kSpread = MakeSpreadTables();
 
 // Buckets this small are finished with a comparison sort.
 constexpr std::size_t kRadixCutoff = 64;

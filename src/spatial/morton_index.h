@@ -39,9 +39,12 @@ class MortonIndex {
  public:
   /// Builds the index.  Points are discretized to L = kTotalBits/dim bits
   /// per dimension (at most 63); points outside the root box are clamped to
-  /// it.  Requires fewer than 2^32 points, and dim <= 8 unless there are
-  /// none.
+  /// it.  Requires fewer than 2^32 points, and dim <= kMaxDim unless there
+  /// are none.
   MortonIndex(const PointSet& points, const Box& root);
+
+  /// Largest dimensionality the key interleave supports.
+  static constexpr std::size_t kMaxDim = 8;
 
   /// Total bit budget across dimensions.  126 instead of 128 keeps
   /// (prefix + 1) << shift from overflowing.

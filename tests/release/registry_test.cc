@@ -9,6 +9,7 @@
 #include "dp/rng.h"
 #include "release/builtin_methods.h"
 #include "spatial/box.h"
+#include "spatial/morton_index.h"
 #include "spatial/point_set.h"
 
 namespace privtree {
@@ -171,6 +172,10 @@ TEST(RegistryTest, EntriesCarryDisplayAndDimMetadata) {
   EXPECT_EQ(registry.Get("wavelet").display, "Privelet*");
   EXPECT_EQ(registry.Get("hierarchy").max_practical_dim, 2u);
   EXPECT_EQ(registry.Get("privtree").max_practical_dim, 0u);
+  // The Morton-indexed trees cannot fit past the index's key width.
+  EXPECT_EQ(registry.Get("privtree").max_dim, MortonIndex::kMaxDim);
+  EXPECT_EQ(registry.Get("simpletree").max_dim, MortonIndex::kMaxDim);
+  EXPECT_EQ(registry.Get("ug").max_dim, 0u);
 }
 
 TEST(RegistryTest, PrivateRegistryIsIndependent) {

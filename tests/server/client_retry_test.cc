@@ -3,7 +3,7 @@
 // transport failure, the no-retry discipline on Shutdown, and a real
 // server-restart survived mid-session.  The scripted scenarios run against
 // a raw frame-speaking fake so the test controls exactly which failure the
-// client sees; the restart scenario runs the full ServerLoop stack.
+// client sees; the restart scenario runs the full EventLoop stack.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,8 +22,8 @@
 #include "server/client.h"
 #include "server/dataset_registry.h"
 #include "server/dispatcher.h"
+#include "server/event/event_loop.h"
 #include "server/protocol.h"
-#include "server/server_loop.h"
 #include "server/socket.h"
 #include "spatial/box.h"
 #include "spatial/point_set.h"
@@ -238,8 +238,8 @@ TEST(ClientRetryTest, ClientSurvivesServerRestartTransparently) {
   auto listener = ListenSocket::Listen(0);
   ASSERT_TRUE(listener.ok());
   const std::uint16_t port = listener.value().port();
-  auto loop = std::make_unique<ServerLoop>(dispatcher,
-                                           std::move(listener).value());
+  auto loop = std::make_unique<EventLoop>(dispatcher,
+                                          std::move(listener).value());
   std::thread serving([&loop] { EXPECT_TRUE(loop->Run().ok()); });
 
   ClientOptions options;
@@ -262,7 +262,7 @@ TEST(ClientRetryTest, ClientSurvivesServerRestartTransparently) {
   serving.join();
   auto relisten = ListenSocket::Listen(port);
   ASSERT_TRUE(relisten.ok()) << relisten.status().ToString();
-  loop = std::make_unique<ServerLoop>(dispatcher, std::move(relisten).value());
+  loop = std::make_unique<EventLoop>(dispatcher, std::move(relisten).value());
   std::thread reserving([&loop] { EXPECT_TRUE(loop->Run().ok()); });
 
   auto after = client.value().QueryBatch(spec, queries);

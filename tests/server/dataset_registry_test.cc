@@ -3,7 +3,8 @@
 // the same spec never share a synopsis), unknown fingerprints answer
 // NotFound, wire uploads are idempotent by content, and one client
 // exhausting its per-session ε budget fails cleanly while other clients
-// keep serving.
+// keep serving, and a tenant too wide for a method's index is refused with
+// a Status instead of aborting the server.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -24,8 +25,8 @@
 #include "server/client.h"
 #include "server/dataset_registry.h"
 #include "server/dispatcher.h"
+#include "server/event/event_loop.h"
 #include "server/protocol.h"
-#include "server/server_loop.h"
 #include "server/socket.h"
 #include "spatial/box.h"
 #include "spatial/point_set.h"
@@ -54,7 +55,7 @@ std::vector<Box> TestQueries(std::size_t n = 10) {
   return GenerateRangeQueries(Box::UnitCube(2), n, kMediumQueries, rng);
 }
 
-/// Two spatial tenants on one ServerLoop, plus knobs for budget tests.
+/// Two spatial tenants on one EventLoop, plus knobs for budget tests.
 class MultiTenantFixture : public ::testing::Test {
  protected:
   void SetUp() override { Start({}); }
@@ -77,8 +78,8 @@ class MultiTenantFixture : public ::testing::Test {
     dispatcher_ = std::make_unique<Dispatcher>(*registry_, options);
     auto listener = ListenSocket::Listen(0);
     ASSERT_TRUE(listener.ok());
-    loop_ = std::make_unique<ServerLoop>(*dispatcher_,
-                                         std::move(listener).value());
+    loop_ = std::make_unique<EventLoop>(*dispatcher_,
+                                        std::move(listener).value());
     port_ = loop_->port();
     serving_ = std::thread([this] { EXPECT_TRUE(loop_->Run().ok()); });
   }
@@ -100,7 +101,7 @@ class MultiTenantFixture : public ::testing::Test {
   std::unique_ptr<serve::SynopsisCache> cache_;
   std::unique_ptr<DatasetRegistry> registry_;
   std::unique_ptr<Dispatcher> dispatcher_;
-  std::unique_ptr<ServerLoop> loop_;
+  std::unique_ptr<EventLoop> loop_;
   std::uint64_t left_fp_ = 0;
   std::uint64_t right_fp_ = 0;
   std::uint16_t port_ = 0;
@@ -223,6 +224,39 @@ TEST_F(MultiTenantFixture, SequenceTenantServesNextToSpatialOnes) {
       client.QueryBatch({"ug", {}, kEpsilon, kSeed}, TestQueries()).ok());
 }
 
+TEST_F(MultiTenantFixture, TenantWiderThanTheMortonIndexIsRefusedCleanly) {
+  // RegisterDataset accepts spatial dims up to 64, but the Morton-indexed
+  // trees stop at MortonIndex::kMaxDim = 8.  A privtree fit on a 9-d tenant
+  // must answer InvalidArgument, not abort the server process.
+  Client client = MustConnect();
+  constexpr std::size_t kDim = 9;
+  RegisterDatasetRequest upload;
+  upload.name = "wide";
+  upload.kind = release::DatasetKind::kSpatial;
+  upload.dim = kDim;
+  upload.domain_lo.assign(kDim, 0.0);
+  upload.domain_hi.assign(kDim, 1.0);
+  Rng rng(0x9D);
+  for (std::size_t i = 0; i < 100 * kDim; ++i) {
+    upload.coords.push_back(rng.NextDouble());
+  }
+  const auto registered = client.RegisterDataset(upload);
+  ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+
+  client.SelectDataset(registered.value().fingerprint);
+  for (const char* method : {"privtree", "simpletree"}) {
+    const auto fitted = client.Fit({method, {}, kEpsilon, kSeed});
+    ASSERT_FALSE(fitted.ok()) << method;
+    EXPECT_EQ(fitted.status().code(), StatusCode::kInvalidArgument)
+        << method << ": " << fitted.status().ToString();
+  }
+
+  // The server is still up and the same connection keeps serving.
+  client.SelectDataset(0);
+  EXPECT_TRUE(client.Fit({"privtree", {}, kEpsilon, kSeed}).ok());
+  EXPECT_TRUE(MustConnect().Stats().ok());
+}
+
 /// Budget-capped sessions: Σε ≤ 2 per connection.
 class BudgetFixture : public MultiTenantFixture {
  protected:
@@ -326,7 +360,7 @@ TEST(DatasetRegistryUnitTest, UploadsCanBeDisabled) {
 
   auto listener = ListenSocket::Listen(0);
   ASSERT_TRUE(listener.ok());
-  ServerLoop loop(dispatcher, std::move(listener).value());
+  EventLoop loop(dispatcher, std::move(listener).value());
   std::thread serving([&loop] { EXPECT_TRUE(loop.Run().ok()); });
   auto connected = Client::Connect("127.0.0.1", loop.port());
   ASSERT_TRUE(connected.ok());

@@ -1,9 +1,11 @@
-// The epoll readiness loop, end to end: served answers are bit-for-bit
-// ServerLoop (and in-process ReleaseSession) answers, pipelined frames
-// come back in request order, a half-open slow-loris peer is reaped by the
+// The epoll readiness loop, end to end: fit + query-batch answers for every
+// method are bit-for-bit the in-process ReleaseSession answers, pipelined
+// frames come back in request order, concurrent clients share one cache,
+// Warm/Stats work remotely, a half-open slow-loris peer is reaped by the
 // idle timeout without disturbing other clients (the regression this file
-// pins), malformed length prefixes answer ErrorReply and close cleanly,
-// and Shutdown drains the loop gracefully.
+// pins), malformed payloads answer ErrorReply and keep the connection while
+// malformed length prefixes close it, server-side errors come back as
+// statuses, and Shutdown drains the loop gracefully.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -27,12 +29,12 @@
 #include "release/session.h"
 #include "serve/synopsis_cache.h"
 #include "serve/thread_pool.h"
+#include "server/async_engine.h"
 #include "server/client.h"
 #include "server/dataset_registry.h"
 #include "server/dispatcher.h"
 #include "server/event/event_loop.h"
 #include "server/protocol.h"
-#include "server/server_loop.h"
 #include "server/socket.h"
 #include "spatial/box.h"
 #include "spatial/point_set.h"
@@ -105,13 +107,34 @@ class EventLoopFixture : public ::testing::Test {
   Status run_status_ = Status::OK();
 };
 
+TEST_F(EventLoopFixture, HelloDescribesTheServedDataset) {
+  Client client = MustConnect();
+  EXPECT_EQ(client.info().dim, 2u);
+  EXPECT_EQ(client.info().point_count, points_->size());
+  EXPECT_EQ(client.info().dataset_fingerprint,
+            registry_->default_fingerprint());
+  ASSERT_EQ(client.info().datasets.size(), 1u);
+  EXPECT_EQ(client.info().datasets[0].name, "test");
+  EXPECT_EQ(client.info().budget_total, 0.0);  // No budget configured.
+  EXPECT_EQ(client.info().methods,
+            release::GlobalMethodRegistry().Names(
+                release::DatasetKind::kSpatial));
+}
+
 TEST_F(EventLoopFixture, ServesReleaseSessionAnswersBitForBit) {
+  // The parity oracle for the served path: every spatial method, fitted
+  // and queried over the socket, equals an in-process ReleaseSession.
   Client client = MustConnect();
   const std::vector<Box> queries = TestQueries();
   for (const std::string& method :
        release::GlobalMethodRegistry().Names(
            release::DatasetKind::kSpatial)) {
     const FitSpec spec{method, {}, kEpsilon, kSeed};
+    const auto fitted = client.Fit(spec);
+    ASSERT_TRUE(fitted.ok()) << method << ": "
+                             << fitted.status().ToString();
+    EXPECT_EQ(fitted.value().metadata.method, method);
+
     const auto answers = client.QueryBatch(spec, queries);
     ASSERT_TRUE(answers.ok()) << method << ": "
                               << answers.status().ToString();
@@ -125,33 +148,6 @@ TEST_F(EventLoopFixture, ServesReleaseSessionAnswersBitForBit) {
           << method << " query " << i << " diverged over epoll";
     }
   }
-}
-
-TEST_F(EventLoopFixture, MatchesThreadLoopAnswersExactly) {
-  // The parity oracle: the same dispatcher behind the thread-per-connection
-  // loop must hand out byte-identical answers.
-  auto oracle_listener = ListenSocket::Listen(0);
-  ASSERT_TRUE(oracle_listener.ok());
-  ServerLoop oracle(*dispatcher_, std::move(oracle_listener).value());
-  const std::uint16_t oracle_port = oracle.port();
-  std::thread oracle_thread([&oracle] { EXPECT_TRUE(oracle.Run().ok()); });
-
-  Client epoll_client = MustConnect();
-  auto oracle_connected = Client::Connect("127.0.0.1", oracle_port);
-  ASSERT_TRUE(oracle_connected.ok());
-  Client oracle_client = std::move(oracle_connected).value();
-
-  const std::vector<Box> queries = TestQueries();
-  for (const char* method : {"privtree", "ug", "wavelet"}) {
-    const FitSpec spec{method, {}, kEpsilon, kSeed};
-    const auto via_epoll = epoll_client.QueryBatch(spec, queries);
-    const auto via_threads = oracle_client.QueryBatch(spec, queries);
-    ASSERT_TRUE(via_epoll.ok());
-    ASSERT_TRUE(via_threads.ok());
-    EXPECT_EQ(via_epoll.value(), via_threads.value()) << method;
-  }
-  oracle.Stop();
-  oracle_thread.join();
 }
 
 TEST_F(EventLoopFixture, PipelinedFramesAnswerInRequestOrder) {
@@ -210,6 +206,78 @@ TEST_F(EventLoopFixture, ConcurrentClientsShareOneCache) {
   EXPECT_EQ(failures.load(), 0);
   // All clients shared one cache: exactly one fit per method happened.
   EXPECT_EQ(cache_->stats().misses, 2u);
+  EXPECT_GE(cache_->stats().hits +
+                registry_->Find(0)->Stats().admission.coalesced_fits,
+            2u * (kClients - 1));
+}
+
+TEST_F(EventLoopFixture, WarmAndStatsWorkRemotely) {
+  Client client = MustConnect();
+  const std::vector<FitSpec> specs = {{"ug", {}, kEpsilon, kSeed},
+                                      {"wavelet", {}, kEpsilon, kSeed}};
+  const auto accepted = client.Warm(specs);
+  ASSERT_TRUE(accepted.ok());
+  EXPECT_EQ(accepted.value(), 2u);
+  pool_->WaitIdle();
+
+  const auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GE(stats.value().admitted, 2u);
+  EXPECT_EQ(stats.value().queue_max_depth, 256u);
+  // The warmed release now serves as a cache hit.
+  const auto fitted = client.Fit(specs[0]);
+  ASSERT_TRUE(fitted.ok());
+  EXPECT_TRUE(fitted.value().cache_hit);
+}
+
+TEST_F(EventLoopFixture, ServerSideErrorsComeBackAsStatuses) {
+  Client client = MustConnect();
+  const auto unknown = client.Fit({"nonsense", {}, kEpsilon, kSeed});
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+
+  const auto negative = client.Fit({"ug", {}, -2.0, kSeed});
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
+
+  // The connection survives rejected requests.
+  const auto fitted = client.Fit({"ug", {}, kEpsilon, kSeed});
+  EXPECT_TRUE(fitted.ok());
+}
+
+TEST_F(EventLoopFixture, MixedDimBatchesAreRefusedClientSide) {
+  Client client = MustConnect();
+  const std::vector<Box> mixed = {Box({0.1, 0.2}, {0.5, 0.6}),
+                                  Box({0.1}, {0.5})};
+  const auto answers =
+      client.QueryBatch({"ug", {}, kEpsilon, kSeed}, mixed);
+  ASSERT_FALSE(answers.ok());
+  EXPECT_EQ(answers.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(EventLoopFixture, SequentialReconnectsAreServed) {
+  // Many short-lived clients in a row: each is accepted and served.
+  const std::vector<Box> queries = TestQueries(5);
+  for (int i = 0; i < 10; ++i) {
+    Client client = MustConnect();
+    const auto answers =
+        client.QueryBatch({"ug", {}, kEpsilon, kSeed}, queries);
+    ASSERT_TRUE(answers.ok()) << "reconnect " << i << ": "
+                              << answers.status().ToString();
+  }
+  EXPECT_GE(loop_->stats().accepted, 10u);
+}
+
+TEST_F(EventLoopFixture, VersionMismatchIsRefused) {
+  auto dialed = Connection::Dial("127.0.0.1", port_);
+  ASSERT_TRUE(dialed.ok());
+  Connection conn = std::move(dialed).value();
+  HelloRequest hello;
+  hello.version = kProtocolVersion + 1;
+  ASSERT_TRUE(conn.SendFrame(EncodeHello(hello)).ok());
+  auto reply = conn.RecvFrame();
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(PeekType(reply.value()).value(), MessageType::kErrorReply);
 }
 
 class EventLoopTimeoutFixture : public EventLoopFixture {
@@ -298,8 +366,18 @@ TEST_F(EventLoopFixture, MalformedPayloadKeepsTheConnectionAlive) {
   ASSERT_TRUE(conn.SendFrame("garbage frame").ok());
   auto reply = conn.RecvFrame();
   ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(PeekType(reply.value()).value(), MessageType::kErrorReply);
+  Status carried;
+  ASSERT_TRUE(DecodeErrorReply(reply.value(), &carried).ok());
+  EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument);
+
+  // A reply tag sent as a request is refused, not crashed on.
+  ASSERT_TRUE(conn.SendFrame(EncodeShutdownReply()).ok());
+  reply = conn.RecvFrame();
+  ASSERT_TRUE(reply.ok());
   EXPECT_EQ(PeekType(reply.value()).value(), MessageType::kErrorReply);
 
+  // The same connection still serves a well-formed handshake.
   ASSERT_TRUE(conn.SendFrame(EncodeHello(HelloRequest{})).ok());
   reply = conn.RecvFrame();
   ASSERT_TRUE(reply.ok());
@@ -347,6 +425,17 @@ TEST_F(EventLoopCapacityFixture, AcceptsPastCapacityAreRefused) {
   // The two admitted connections still serve.
   EXPECT_TRUE(a.Stats().ok());
   EXPECT_TRUE(b.Stats().ok());
+}
+
+TEST(ServerSocketTest, DialingAClosedPortFails) {
+  // Bind-then-close to find a port that is very likely unused.
+  auto listener = ListenSocket::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  const std::uint16_t port = listener.value().port();
+  listener.value().Close();
+  auto dialed = Connection::Dial("127.0.0.1", port);
+  EXPECT_FALSE(dialed.ok());
+  EXPECT_EQ(dialed.status().code(), StatusCode::kIOError);
 }
 
 }  // namespace

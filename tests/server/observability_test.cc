@@ -1,5 +1,5 @@
-// The observability surface over a live socket: protocol-v4 clients still
-// handshake and round-trip bit-for-bit, a kTraced wrapper never changes a
+// The observability surface over a live socket: a Hello from any protocol
+// version but the current one is refused, a kTraced wrapper never changes a
 // single reply byte, GetStats returns a JSON snapshot whose counters match
 // the traffic that was actually served, and the trace ring records one
 // finished trace per request with the spans a query pipeline must have.
@@ -98,50 +98,20 @@ class ObservabilityFixture : public ::testing::Test {
   Status run_status_ = Status::OK();
 };
 
-TEST_F(ObservabilityFixture, ProtocolV4ClientStillRoundTripsBitForBit) {
-  // A v4 client sends Hello{version=4} and expects the echo to say 4 —
-  // exactly what pre-v5 DialAndHello hard-checks.  The server must
-  // negotiate down and serve its QueryBatch unchanged.
-  auto dialed = Connection::Dial("127.0.0.1", port_, 2000);
-  ASSERT_TRUE(dialed.ok()) << dialed.status().ToString();
-  Connection conn = std::move(dialed).value();
-  HelloRequest hello;
-  hello.version = 4;
-  const std::string hello_reply = RoundTripRaw(conn, EncodeHello(hello));
-  HelloReply info;
-  ASSERT_TRUE(DecodeHelloReply(hello_reply, &info).ok());
-  EXPECT_EQ(info.version, 4u);
-
-  QueryBatchRequest request;
-  request.spec = FitSpec{"ug", {}, kEpsilon, 0xC11};
-  request.queries = TestQueries();
-  const std::string v4_reply =
-      RoundTripRaw(conn, EncodeQueryBatch(request));
-  ASSERT_EQ(PeekType(v4_reply).value(), MessageType::kQueryBatchReply);
-
-  // The same request through a current (v5) Client answers with the same
-  // bytes — the protocol bump changed nothing the old client can see.
-  auto client = Client::Connect("127.0.0.1", port_);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  auto answers =
-      client.value().QueryBatch(request.spec, request.queries);
-  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
-  QueryBatchReply decoded;
-  ASSERT_TRUE(DecodeQueryBatchReply(v4_reply, &decoded).ok());
-  EXPECT_EQ(decoded.answers, answers.value());
-}
-
 TEST_F(ObservabilityFixture, UnsupportedHelloVersionIsRefusedCleanly) {
   auto dialed = Connection::Dial("127.0.0.1", port_, 2000);
   ASSERT_TRUE(dialed.ok()) << dialed.status().ToString();
   Connection conn = std::move(dialed).value();
-  HelloRequest hello;
-  hello.version = 3;  // Below kMinProtocolVersion.
-  const std::string reply = RoundTripRaw(conn, EncodeHello(hello));
-  ASSERT_EQ(PeekType(reply).value(), MessageType::kErrorReply);
-  Status carried;
-  ASSERT_TRUE(DecodeErrorReply(reply, &carried).ok());
-  EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument);
+  // The server speaks exactly kProtocolVersion; older clients are refused.
+  for (const std::uint32_t version : {3u, 4u}) {
+    HelloRequest hello;
+    hello.version = version;
+    const std::string reply = RoundTripRaw(conn, EncodeHello(hello));
+    ASSERT_EQ(PeekType(reply).value(), MessageType::kErrorReply) << version;
+    Status carried;
+    ASSERT_TRUE(DecodeErrorReply(reply, &carried).ok());
+    EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument) << version;
+  }
 }
 
 TEST_F(ObservabilityFixture, TracedWrapperNeverChangesReplyBytes) {

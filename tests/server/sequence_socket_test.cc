@@ -1,4 +1,4 @@
-// Served sequence traffic, end to end: a ServerLoop over a sequence-kind
+// Served sequence traffic, end to end: an EventLoop over a sequence-kind
 // AsyncEngine answers remote pst_privtree / ngram fits and SequenceQuery
 // batches bit-for-bit like an in-process ReleaseSession, hostile specs
 // (out-of-range options, out-of-alphabet symbols, wrong query shape) come
@@ -27,8 +27,8 @@
 #include "server/client.h"
 #include "server/dataset_registry.h"
 #include "server/dispatcher.h"
+#include "server/event/event_loop.h"
 #include "server/protocol.h"
-#include "server/server_loop.h"
 #include "server/socket.h"
 #include "spatial/box.h"
 #include "spatial/point_set.h"
@@ -103,8 +103,8 @@ class SequenceServerFixture : public ::testing::Test {
     dispatcher_ = std::make_unique<Dispatcher>(*registry_);
     auto listener = ListenSocket::Listen(0);
     ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-    loop_ = std::make_unique<ServerLoop>(*dispatcher_,
-                                         std::move(listener).value());
+    loop_ = std::make_unique<EventLoop>(*dispatcher_,
+                                        std::move(listener).value());
     port_ = loop_->port();
     serving_ = std::thread([this] { EXPECT_TRUE(loop_->Run().ok()); });
   }
@@ -125,7 +125,7 @@ class SequenceServerFixture : public ::testing::Test {
   std::unique_ptr<serve::SynopsisCache> cache_;
   std::unique_ptr<DatasetRegistry> registry_;
   std::unique_ptr<Dispatcher> dispatcher_;
-  std::unique_ptr<ServerLoop> loop_;
+  std::unique_ptr<EventLoop> loop_;
   std::uint16_t port_ = 0;
   std::thread serving_;
 };
