@@ -31,7 +31,8 @@
 // and answers without ever touching the data (persisting a released
 // synopsis is pure post-processing, free under DP).  `build` and `run` fit
 // with the same deterministic seed, so the on-disk answers match an
-// in-memory `run` bit for bit.  Legacy v1 text files still load.
+// in-memory `run` bit for bit.  A file in any other format (e.g. the
+// retired v1 text formats) is refused with InvalidArgument.
 //
 // `query --connect` answers through a running privtree_server instead: the
 // boxes travel over the serving protocol (src/server/protocol.h) and the

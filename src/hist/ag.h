@@ -40,8 +40,8 @@ class AdaptiveGrid {
   AdaptiveGrid(const PointSet& points, const Box& domain, double epsilon,
                const AdaptiveGridOptions& options, Rng& rng);
 
-  /// Restores a released grid from its serialized parts (the v2 synopsis
-  /// payload — see release/serialization.h): `level1_counts` is the
+  /// Restores a released grid from its serialized parts (the compressed AG
+  /// body — see hist/grid_codec.h): `level1_counts` is the
   /// row-major m1 × m1 noisy level-1 lattice and `level2` one sub-grid per
   /// level-1 cell, already constrained (sub-grid counts are persisted
   /// post-inference).  The summed-area table is derived state and is

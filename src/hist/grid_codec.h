@@ -1,5 +1,5 @@
-// Binary codec for released GridHistogram lattices (the v2 synopsis
-// payload of the grid-family backends, and the sub-grid records of AG).
+// Binary codec for released GridHistogram lattices (the synopsis payload
+// of the grid-family backends) and the compressed AG body built on them.
 //
 // Body layout, relative to a known dimensionality d:
 //
@@ -27,12 +27,11 @@ void WriteGridHistogram(ByteWriter& out, const GridHistogram& grid);
 /// cell totals that overflow or exceed the payload) yields a clean error.
 Result<GridHistogram> ReadGridHistogram(ByteReader& in, std::size_t dim);
 
-/// Compressed AG body used inside v3 envelopes.  The v2 payload repeats a
-/// full WriteGridHistogram record (box + granularities + counts) for every
-/// level-1 cell, but the boxes are the level-1 lattice geometry — fully
-/// determined by the domain and m1 — and the granularities are small
-/// integers.  The v3 body drops the boxes and group-varint-packs the
-/// granularities; the noisy counts stay raw (they do not compress).
+/// Compressed AG body used inside synopsis envelopes.  The level-2
+/// sub-grid boxes are the level-1 lattice geometry — fully determined by
+/// the domain and m1 — and the granularities are small integers, so the
+/// body drops the boxes and group-varint-packs the granularities; the noisy
+/// counts stay raw (they do not compress).
 ///
 ///   i64  m1
 ///   box  domain                      (raw f64 pairs)
@@ -43,8 +42,8 @@ Result<GridHistogram> ReadGridHistogram(ByteReader& in, std::size_t dim);
 ///   f64… concatenated sub-grid counts (cell order, Π granularities each)
 ///
 /// Mode 1 is written whenever every sub-grid's domain matches the level-1
-/// cell box *bitwise* (always true for grids this codebase fit; a foreign
-/// v2 payload re-saved as v3 falls back to mode 0), and decoding recomputes
+/// cell box *bitwise* (always true for grids this codebase fit; any other
+/// AdaptiveGrid falls back to mode 0), and decoding recomputes
 /// the boxes with the exact GridHistogram::CellBox arithmetic, so the
 /// round-trip is bit-for-bit either way.
 void WriteAdaptiveGridBodyCompressed(ByteWriter& out, const AdaptiveGrid& grid);

@@ -42,7 +42,7 @@ class HierarchyHistogram {
   HierarchyHistogram(const PointSet& points, const Box& domain, double epsilon,
                      const HierarchyOptions& options, Rng& rng);
 
-  /// Restores a released hierarchy from its serialized parts (the v2
+  /// Restores a released hierarchy from its serialized parts (the
   /// synopsis payload — see release/serialization.h).  `level_counts[l]`
   /// holds the flat level-l counts for l = 1..height-1 (`level_counts[0]`
   /// is ignored: the root count is never released); persisted counts are

@@ -37,7 +37,7 @@ class KdTreeHistogram {
   KdTreeHistogram(const PointSet& points, const Box& domain, double epsilon,
                   const KdTreeOptions& options, Rng& rng);
 
-  /// Restores a released tree from its serialized parts (the v2 synopsis
+  /// Restores a released tree from its serialized parts (the synopsis
   /// payload — see release/serialization.h); `counts` is indexed by node id.
   static KdTreeHistogram Restore(DecompTree<Box> tree,
                                  std::vector<double> counts);

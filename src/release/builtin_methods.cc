@@ -551,20 +551,18 @@ MethodFactory FactoryFor() {
   };
 }
 
-/// Loader for the spatial tree family (PrivTree, SimpleTree).  v3 payloads
-/// carry the compressed tree body, v2 the raw node array; both restore the
-/// same histogram bit for bit.
+/// Loader for the spatial tree family (PrivTree, SimpleTree): the
+/// compressed tree body restores the histogram bit for bit.
 template <typename T>
 MethodLoader SpatialTreeLoaderFor() {
   return [](const SynopsisEnvelope& env,
             ByteReader& payload) -> Result<std::unique_ptr<Method>> {
     SpatialHistogram hist;
-    Status s = env.format_version >= kSynopsisFormatVersion
-                   ? ReadSpatialTreeBodyCompressed(payload, env.metadata.dim,
-                                                   &hist.tree, &hist.count)
-                   : ReadSpatialTreeBody(payload, env.metadata.dim,
-                                         &hist.tree, &hist.count);
-    if (!s.ok()) return s;
+    if (Status s = ReadSpatialTreeBodyCompressed(payload, env.metadata.dim,
+                                                 &hist.tree, &hist.count);
+        !s.ok()) {
+      return s;
+    }
     return std::unique_ptr<Method>(
         std::make_unique<T>(env, std::move(hist)));
   };
@@ -586,49 +584,17 @@ Result<std::unique_ptr<Method>> LoadKdTree(const SynopsisEnvelope& env,
                                            ByteReader& payload) {
   DecompTree<Box> tree;
   std::vector<double> counts;
-  Status s = env.format_version >= kSynopsisFormatVersion
-                 ? ReadBoxTreeBodyCompressed(payload, env.metadata.dim, &tree,
-                                             &counts)
-                 : ReadBoxTreeBody(payload, env.metadata.dim, &tree, &counts);
-  if (!s.ok()) return s;
+  if (Status s = ReadBoxTreeBodyCompressed(payload, env.metadata.dim, &tree,
+                                           &counts);
+      !s.ok()) {
+    return s;
+  }
   return std::unique_ptr<Method>(std::make_unique<KdTreeMethod>(
       env, KdTreeHistogram::Restore(std::move(tree), std::move(counts))));
 }
 
-/// The v2 AG payload: one full WriteGridHistogram record per level-1 cell.
-Result<std::unique_ptr<Method>> LoadAdaptiveGridV2(const SynopsisEnvelope& env,
-                                                   ByteReader& payload) {
-  std::int64_t m1 = 0;
-  if (!payload.I64(&m1) || m1 < 1) {
-    return Status::InvalidArgument("ag payload: bad level-1 granularity");
-  }
-  Box domain;
-  std::string box_error;
-  if (!ReadBox(payload, 2, &domain, &box_error)) {
-    return Status::InvalidArgument("ag payload: " + box_error);
-  }
-  const std::uint64_t cells =
-      static_cast<std::uint64_t>(m1) * static_cast<std::uint64_t>(m1);
-  std::vector<double> level1;
-  if (m1 > 1'000'000 || !payload.F64Vec(cells, &level1)) {
-    return Status::InvalidArgument("ag payload: truncated level-1 counts");
-  }
-  std::vector<GridHistogram> level2;
-  for (std::uint64_t i = 0; i < cells; ++i) {
-    auto sub = ReadGridHistogram(payload, 2);
-    if (!sub.ok()) return sub.status();
-    level2.push_back(std::move(sub).value());
-  }
-  return std::unique_ptr<Method>(std::make_unique<AdaptiveGridMethod>(
-      env, AdaptiveGrid(std::move(domain), m1, std::move(level1),
-                        std::move(level2))));
-}
-
 Result<std::unique_ptr<Method>> LoadAdaptiveGrid(const SynopsisEnvelope& env,
                                                  ByteReader& payload) {
-  if (env.format_version < kSynopsisFormatVersion) {
-    return LoadAdaptiveGridV2(env, payload);
-  }
   auto grid = ReadAdaptiveGridBodyCompressed(payload);
   if (!grid.ok()) return grid.status();
   return std::unique_ptr<Method>(
@@ -680,21 +646,6 @@ Result<std::unique_ptr<Method>> LoadHierarchy(const SynopsisEnvelope& env,
 }
 
 }  // namespace
-
-std::unique_ptr<Method> WrapSpatialHistogram(std::string_view method,
-                                             SpatialHistogram hist,
-                                             double epsilon_spent) {
-  PRIVTREE_CHECK(!hist.tree.empty());
-  SynopsisEnvelope env;
-  env.metadata.method = std::string(method);
-  env.metadata.dim = hist.tree.node(0).domain.box.dim();
-  env.metadata.epsilon_spent = epsilon_spent;
-  if (method == "simpletree") {
-    return std::make_unique<SimpleTreeMethod>(env, std::move(hist));
-  }
-  PRIVTREE_CHECK(method == "privtree");
-  return std::make_unique<PrivTreeMethod>(env, std::move(hist));
-}
 
 PrivTreeHistogramOptions ParsePrivTreeHistogramOptions(
     const MethodOptions& options) {

@@ -20,9 +20,6 @@
 #ifndef PRIVTREE_RELEASE_BUILTIN_METHODS_H_
 #define PRIVTREE_RELEASE_BUILTIN_METHODS_H_
 
-#include <memory>
-#include <string_view>
-
 #include "release/options.h"
 #include "release/registry.h"
 #include "spatial/spatial_histogram.h"
@@ -35,14 +32,6 @@ namespace privtree::release {
 /// registries (e.g. in tests).  Every entry registers both a factory and a
 /// loader, so all backends round-trip through release/serialization.h.
 void RegisterBuiltinMethods(MethodRegistry& registry);
-
-/// Wraps an already-released decomposition-tree histogram as a fitted
-/// `method` ("privtree" or "simpletree"; anything else aborts).  Used by
-/// the legacy v1 text-format compat shim, where the file records no ε —
-/// pass 0 when the budget is unknown.  `hist` must be non-empty.
-std::unique_ptr<Method> WrapSpatialHistogram(std::string_view method,
-                                             SpatialHistogram hist,
-                                             double epsilon_spent);
 
 /// String-bag → native option-struct translations for the tree-backed
 /// methods, shared between the registry adapters and callers that need

@@ -59,11 +59,6 @@ struct MethodMetadata {
 struct SynopsisEnvelope {
   MethodMetadata metadata;
   std::string options_text;
-  /// Envelope format version the synopsis was read from (see
-  /// release/serialization.h).  Loaders dispatch on it: 2 = raw payloads,
-  /// 3 = compressed payload sections.  Writers always emit the current
-  /// version; the field exists so v2 spill files keep loading.
-  std::uint32_t format_version = 0;
 };
 
 /// A differentially private range-count release mechanism.
@@ -118,8 +113,8 @@ class Method {
   /// only after Fit.
   virtual MethodMetadata Metadata() const = 0;
 
-  /// Serializes the fitted synopsis — a versioned envelope plus a
-  /// per-backend payload (see release/serialization.h for the format) — so
+  /// Serializes the fitted synopsis — the v3 envelope plus a per-backend
+  /// payload (see release/serialization.h for the format) — so
   /// a later process can re-load and query it without touching the data
   /// (pure post-processing, free under DP).  Every registry backend
   /// implements this; the default rejects with InvalidArgument so

@@ -263,8 +263,7 @@ class NgramMethod final : public SequenceMethodBase {
 };
 
 /// Reconstructs a PstModel from the flat (parent, histogram) payload rows,
-/// enforcing the SplitNode sibling-group invariant exactly like the v1
-/// text loader.
+/// enforcing the SplitNode sibling-group invariant.
 Result<PstModel> RestorePstModel(std::size_t alphabet,
                                  std::span<const NodeId> parents,
                                  std::vector<std::vector<double>> hists) {
@@ -314,35 +313,23 @@ Result<std::unique_ptr<Method>> LoadPstPrivTree(const SynopsisEnvelope& env,
     return Status::InvalidArgument("pst payload: bad alphabet size");
   }
   const std::size_t beta = alphabet + 1;
-  const bool packed = env.format_version >= kSynopsisFormatVersion;
   std::uint64_t n = 0;
-  // Histograms alone cost 8·beta bytes per node (plus 4 for the inline v2
-  // parent); bounding n before allocating keeps a lying count from forcing
-  // a huge allocation.
-  if (!payload.U64(&n) || n == 0 ||
-      n > payload.remaining() / (packed ? 8 * beta : 4 + 8 * beta)) {
+  // Histograms alone cost 8·beta bytes per node; bounding n before
+  // allocating keeps a lying count from forcing a huge allocation.
+  if (!payload.U64(&n) || n == 0 || n > payload.remaining() / (8 * beta)) {
     return Status::InvalidArgument("pst payload: bad node count");
   }
-  std::vector<NodeId> parents(n);
+  std::vector<NodeId> parents;
+  std::string packed_parents;
+  if (!payload.Str(&packed_parents) ||
+      !UnpackDeltaI32(packed_parents, n, &parents)) {
+    return Status::InvalidArgument("pst payload: bad parent links");
+  }
   std::vector<std::vector<double>> hists(n);
-  if (packed) {
-    std::string packed_parents;
-    if (!payload.Str(&packed_parents) ||
-        !UnpackDeltaI32(packed_parents, n, &parents)) {
-      return Status::InvalidArgument("pst payload: bad parent links");
-    }
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (!payload.F64Vec(beta, &hists[i])) {
-        return Status::InvalidArgument("pst payload: truncated node " +
-                                       std::to_string(i));
-      }
-    }
-  } else {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (!payload.I32(&parents[i]) || !payload.F64Vec(beta, &hists[i])) {
-        return Status::InvalidArgument("pst payload: truncated node " +
-                                       std::to_string(i));
-      }
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (!payload.F64Vec(beta, &hists[i])) {
+      return Status::InvalidArgument("pst payload: truncated node " +
+                                     std::to_string(i));
     }
   }
   auto model = RestorePstModel(alphabet, parents, std::move(hists));
@@ -357,30 +344,20 @@ Result<std::unique_ptr<Method>> LoadNgram(const SynopsisEnvelope& env,
   if (alphabet < 1 || alphabet > kMaxAlphabet) {
     return Status::InvalidArgument("ngram payload: bad alphabet size");
   }
-  const bool packed = env.format_version >= kSynopsisFormatVersion;
   std::uint64_t n = 0;
-  if (!payload.U64(&n) || n == 0 ||
-      n > payload.remaining() / (packed ? 8 : 12)) {
+  // Counts alone cost 8 bytes per node: bound n before allocating.
+  if (!payload.U64(&n) || n == 0 || n > payload.remaining() / 8) {
     return Status::InvalidArgument("ngram payload: bad node count");
   }
-  std::vector<NodeId> parents(n);
-  std::vector<double> counts(n);
-  if (packed) {
-    std::string packed_parents;
-    if (!payload.Str(&packed_parents) ||
-        !UnpackDeltaI32(packed_parents, n, &parents)) {
-      return Status::InvalidArgument("ngram payload: bad parent links");
-    }
-    if (!payload.F64Vec(n, &counts)) {
-      return Status::InvalidArgument("ngram payload: truncated counts");
-    }
-  } else {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (!payload.I32(&parents[i]) || !payload.F64(&counts[i])) {
-        return Status::InvalidArgument("ngram payload: truncated node " +
-                                       std::to_string(i));
-      }
-    }
+  std::vector<NodeId> parents;
+  std::vector<double> counts;
+  std::string packed_parents;
+  if (!payload.Str(&packed_parents) ||
+      !UnpackDeltaI32(packed_parents, n, &parents)) {
+    return Status::InvalidArgument("ngram payload: bad parent links");
+  }
+  if (!payload.F64Vec(n, &counts)) {
+    return Status::InvalidArgument("ngram payload: truncated counts");
   }
   auto model = NgramModel::Restore(alphabet, parents, counts);
   if (!model.ok()) return model.status();
@@ -389,15 +366,6 @@ Result<std::unique_ptr<Method>> LoadNgram(const SynopsisEnvelope& env,
 }
 
 }  // namespace
-
-std::unique_ptr<Method> WrapPstModel(PstModel model, double epsilon_spent) {
-  PRIVTREE_CHECK(model.size() > 0);
-  SynopsisEnvelope env;
-  env.metadata.method = "pst_privtree";
-  env.metadata.dim = model.alphabet_size();
-  env.metadata.epsilon_spent = epsilon_spent;
-  return std::make_unique<PstPrivTreeMethod>(env, std::move(model));
-}
 
 void RegisterSequenceMethods(MethodRegistry& registry) {
   using enum OptionType;

@@ -31,12 +31,6 @@ namespace privtree::release {
 /// RegisterBuiltinMethods; call it directly only on private registries.
 void RegisterSequenceMethods(MethodRegistry& registry);
 
-/// Wraps an already-released PST model as a fitted "pst_privtree" method.
-/// Used by the legacy `privtree-pst v1` text-format compat shim, where the
-/// file records no ε or options — pass 0 when the budget is unknown.
-/// `model` must be non-empty.
-std::unique_ptr<Method> WrapPstModel(PstModel model, double epsilon_spent);
-
 }  // namespace privtree::release
 
 #endif  // PRIVTREE_RELEASE_SEQUENCE_METHODS_H_

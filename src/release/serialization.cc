@@ -14,22 +14,56 @@
 
 #include "core/byteio.h"
 #include "core/fault.h"
-#include "release/builtin_methods.h"
 #include "release/options.h"
-#include "release/sequence_methods.h"
-#include "seq/pst_serialization.h"
-#include "spatial/serialization.h"
+#include "seq/sequence.h"
 
 namespace privtree::release {
 
 namespace {
 
-constexpr std::string_view kV1Magic = "privtree-histogram v1";
+/// Header: magic (8) + version (4) + body size (8) + body checksum (8),
+/// then a u64 checksum over those first 28 bytes.
+constexpr std::size_t kHeaderChecksummedBytes = 28;
+constexpr std::size_t kHeaderBytes = 36;
 
-/// v2 header: magic (8) + version (4) + body size (8) + body checksum (8).
-constexpr std::size_t kHeaderBytesV2 = 28;
-/// v3 appends a u64 header checksum over the first 28 bytes.
-constexpr std::size_t kHeaderBytesV3 = 36;
+struct Header {
+  std::uint64_t body_size = 0;
+  std::uint64_t body_checksum = 0;
+};
+
+/// Validates the fixed header at the front of `data` (which may hold more
+/// than the header): magic, version, header checksum.
+Status ParseHeader(std::string_view data, Header* out) {
+  if (data.size() < kSynopsisMagic.size() + 4 ||
+      data.substr(0, kSynopsisMagic.size()) != kSynopsisMagic) {
+    return Status::InvalidArgument("synopsis: bad magic");
+  }
+  ByteReader r(data.substr(kSynopsisMagic.size()));
+  std::uint32_t version = 0;
+  r.U32(&version);
+  if (version != kSynopsisFormatVersion) {
+    return Status::InvalidArgument("synopsis: unsupported format version " +
+                                   std::to_string(version));
+  }
+  std::uint64_t header_checksum = 0;
+  if (!r.U64(&out->body_size) || !r.U64(&out->body_checksum) ||
+      !r.U64(&header_checksum)) {
+    return Status::InvalidArgument("synopsis: truncated header");
+  }
+  if (ByteChecksum(data.substr(0, kHeaderChecksummedBytes)) !=
+      header_checksum) {
+    return Status::InvalidArgument("synopsis: header checksum mismatch");
+  }
+  return Status::OK();
+}
+
+/// The body must be exactly the size the header declares.
+Status CheckBodySize(std::uint64_t declared, std::uint64_t actual) {
+  if (declared == actual) return Status::OK();
+  return Status::InvalidArgument(declared > actual
+                                     ? "synopsis: truncated body"
+                                     : "synopsis: trailing bytes after body");
+}
 
 Status ValidateOptionsText(const MethodRegistry& registry,
                            const std::string& method,
@@ -59,13 +93,7 @@ Status ValidateOptionsText(const MethodRegistry& registry,
 }  // namespace
 
 Status WriteSynopsis(std::ostream& out, const MethodMetadata& metadata,
-                     std::string_view options_text, std::string_view payload,
-                     std::uint32_t version) {
-  if (version != kSynopsisFormatVersion &&
-      version != kSynopsisFormatVersionV2) {
-    return Status::InvalidArgument("synopsis: unwritable format version " +
-                                   std::to_string(version));
-  }
+                     std::string_view options_text, std::string_view payload) {
   std::string body;
   ByteWriter w(&body);
   w.Str(metadata.method);
@@ -79,12 +107,10 @@ Status WriteSynopsis(std::ostream& out, const MethodMetadata& metadata,
   std::string header;
   ByteWriter h(&header);
   header.append(kSynopsisMagic.data(), kSynopsisMagic.size());
-  h.U32(version);
+  h.U32(kSynopsisFormatVersion);
   h.U64(body.size());
   h.U64(ByteChecksum(body));
-  if (version >= kSynopsisFormatVersion) {
-    h.U64(ByteChecksum(header));  // Header checksum over bytes [0, 28).
-  }
+  h.U64(ByteChecksum(header));  // Header checksum over bytes [0, 28).
 
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
   out.write(body.data(), static_cast<std::streamsize>(body.size()));
@@ -98,67 +124,18 @@ Result<std::unique_ptr<Method>> LoadMethod(std::istream& in,
                    std::istreambuf_iterator<char>());
   if (in.bad()) return Status::IOError("synopsis read failure");
 
-  // Legacy v1 text files load through compat shims: the persisted releases
-  // carry no method name or ε, so they come back as a "privtree" (spatial
-  // tree) or "pst_privtree" (sequence PST) synopsis with epsilon_spent = 0.
-  if (data.size() >= kV1Magic.size() &&
-      std::string_view(data).substr(0, kV1Magic.size()) == kV1Magic) {
-    std::istringstream text(data);
-    auto hist = LoadSpatialHistogramText(text, "<v1 synopsis>");
-    if (!hist.ok()) return hist.status();
-    return WrapSpatialHistogram("privtree", std::move(hist).value(),
-                                /*epsilon_spent=*/0.0);
+  Header header;
+  if (Status s = ParseHeader(data, &header); !s.ok()) return s;
+  const std::string_view body = std::string_view(data).substr(kHeaderBytes);
+  if (Status s = CheckBodySize(header.body_size, body.size()); !s.ok()) {
+    return s;
   }
-  if (data.size() >= kPstV1Magic.size() &&
-      std::string_view(data).substr(0, kPstV1Magic.size()) == kPstV1Magic) {
-    std::istringstream text(data);
-    auto model = LoadPstModelStream(text, "<pst v1 synopsis>");
-    if (!model.ok()) return model.status();
-    return WrapPstModel(std::move(model).value(), /*epsilon_spent=*/0.0);
-  }
-
-  if (data.size() < kHeaderBytesV2 ||
-      std::string_view(data).substr(0, kSynopsisMagic.size()) !=
-          kSynopsisMagic) {
-    return Status::InvalidArgument("synopsis: bad magic");
-  }
-  ByteReader header(std::string_view(data).substr(kSynopsisMagic.size()));
-  std::uint32_t version = 0;
-  std::uint64_t body_size = 0, checksum = 0;
-  header.U32(&version);
-  header.U64(&body_size);
-  header.U64(&checksum);
-  if (version != kSynopsisFormatVersion &&
-      version != kSynopsisFormatVersionV2) {
-    return Status::InvalidArgument("synopsis: unsupported format version " +
-                                   std::to_string(version));
-  }
-  std::size_t header_bytes = kHeaderBytesV2;
-  if (version >= kSynopsisFormatVersion) {
-    header_bytes = kHeaderBytesV3;
-    std::uint64_t header_checksum = 0;
-    if (data.size() < kHeaderBytesV3 || !header.U64(&header_checksum)) {
-      return Status::InvalidArgument("synopsis: truncated header");
-    }
-    if (ByteChecksum(std::string_view(data).substr(0, kHeaderBytesV2)) !=
-        header_checksum) {
-      return Status::InvalidArgument("synopsis: header checksum mismatch");
-    }
-  }
-  const std::string_view body =
-      std::string_view(data).substr(header_bytes);
-  if (body_size != body.size()) {
-    return Status::InvalidArgument(
-        body_size > body.size() ? "synopsis: truncated body"
-                                : "synopsis: trailing bytes after body");
-  }
-  if (ByteChecksum(body) != checksum) {
+  if (ByteChecksum(body) != header.body_checksum) {
     return Status::InvalidArgument("synopsis: checksum mismatch");
   }
 
   ByteReader r(body);
   SynopsisEnvelope envelope;
-  envelope.format_version = version;
   std::uint64_t dim = 0, synopsis_size = 0;
   if (!r.Str(&envelope.metadata.method) || !r.Str(&envelope.options_text) ||
       !r.U64(&dim) || !r.F64(&envelope.metadata.epsilon_spent) ||
@@ -275,82 +252,27 @@ Status ProbeSynopsisFile(const std::string& path,
                          std::uint64_t* bytes_scanned) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
-  // One small read covers every header this probe can rule on: the v3
-  // binary header (36 bytes) and both legacy text magic lines.
-  char head[64];
+  char head[kHeaderBytes];
   in.read(head, sizeof(head));
   const auto head_size = static_cast<std::size_t>(in.gcount());
   if (in.bad()) return Status::IOError("read failure on " + path);
   if (bytes_scanned != nullptr) *bytes_scanned += head_size;
-  const std::string_view data(head, head_size);
 
-  // Legacy v1 text formats carry no checksum; their magic is the best
-  // cheap evidence available, and LoadMethod's parser rejects the rest.
-  if (data.substr(0, kV1Magic.size()) == kV1Magic) return Status::OK();
-  if (data.substr(0, kPstV1Magic.size()) == kPstV1Magic) return Status::OK();
-
-  if (data.size() < kHeaderBytesV2 ||
-      data.substr(0, kSynopsisMagic.size()) != kSynopsisMagic) {
-    return Status::InvalidArgument("synopsis: bad magic");
+  // The header carries its own checksum and declares the body size, so
+  // structural integrity (a damaged header, truncation, a torn tail) is
+  // decidable without touching the body.  Silent body bit rot is caught by
+  // the body checksum on first LoadMethod.
+  Header header;
+  if (Status s = ParseHeader(std::string_view(head, head_size), &header);
+      !s.ok()) {
+    return s;
   }
-  ByteReader header(data.substr(kSynopsisMagic.size()));
-  std::uint32_t version = 0;
-  std::uint64_t body_size = 0, checksum = 0;
-  header.U32(&version);
-  header.U64(&body_size);
-  header.U64(&checksum);
-  if (version != kSynopsisFormatVersion &&
-      version != kSynopsisFormatVersionV2) {
-    return Status::InvalidArgument("synopsis: unsupported format version " +
-                                   std::to_string(version));
-  }
-
-  if (version >= kSynopsisFormatVersion) {
-    // v3: the header carries its own checksum and declares the body size,
-    // so structural integrity (a damaged header, truncation, a torn tail)
-    // is decidable without touching the body.  Silent body bit rot is
-    // caught by the body checksum on first LoadMethod.
-    std::uint64_t header_checksum = 0;
-    if (data.size() < kHeaderBytesV3 || !header.U64(&header_checksum)) {
-      return Status::InvalidArgument("synopsis: truncated header");
-    }
-    if (ByteChecksum(data.substr(0, kHeaderBytesV2)) != header_checksum) {
-      return Status::InvalidArgument("synopsis: header checksum mismatch");
-    }
-    in.clear();
-    in.seekg(0, std::ios::end);
-    const auto file_size = in.tellg();
-    if (file_size < 0) return Status::IOError("cannot stat " + path);
-    const auto actual =
-        static_cast<std::uint64_t>(file_size) - kHeaderBytesV3;
-    if (body_size != actual) {
-      return Status::InvalidArgument(
-          body_size > actual ? "synopsis: truncated body"
-                             : "synopsis: trailing bytes after body");
-    }
-    return Status::OK();
-  }
-
-  // v2: no header checksum — the only integrity evidence is the body
-  // checksum, so the legacy probe reads the whole file.
   in.clear();
-  in.seekg(0);
-  std::string full((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IOError("read failure on " + path);
-  if (bytes_scanned != nullptr && full.size() > head_size) {
-    *bytes_scanned += full.size() - head_size;
-  }
-  const std::string_view body = std::string_view(full).substr(kHeaderBytesV2);
-  if (body_size != body.size()) {
-    return Status::InvalidArgument(
-        body_size > body.size() ? "synopsis: truncated body"
-                                : "synopsis: trailing bytes after body");
-  }
-  if (ByteChecksum(body) != checksum) {
-    return Status::InvalidArgument("synopsis: checksum mismatch");
-  }
-  return Status::OK();
+  in.seekg(0, std::ios::end);
+  const auto file_size = in.tellg();
+  if (file_size < 0) return Status::IOError("cannot stat " + path);
+  return CheckBodySize(header.body_size,
+                       static_cast<std::uint64_t>(file_size) - kHeaderBytes);
 }
 
 }  // namespace privtree::release

@@ -11,19 +11,15 @@
 //
 //   offset  size  field
 //   0       8     magic "PRIVTSYN"
-//   8       4     u32 format version (currently 3; v1 is the legacy text
-//                 format of spatial/serialization.h)
+//   8       4     u32 format version (3, the only readable version)
 //   12      8     u64 body size in bytes
 //   20      8     u64 body checksum (core/byteio.h ByteChecksum)
-//   28      8     u64 header checksum (ByteChecksum of bytes [0, 28); v3+
-//                 only) — lets the spill tier's warm-restart scan verify a
-//                 file header-only, without reading the body
+//   28      8     u64 header checksum (ByteChecksum of bytes [0, 28)) —
+//                 lets the spill tier's warm-restart scan verify a file
+//                 header-only, without reading the body
 //   36      ...   body (exactly `body size` bytes; nothing may follow)
 //
-// v2 files have no header checksum (the body starts at offset 28) and
-// carry the raw per-backend payloads documented below; they keep loading
-// forever through the same LoadMethod entry point.  v3 bodies share the
-// envelope fields but compress the structured payload sections with the
+// The body compresses the structured payload sections with the
 // core/codec.h primitives (delta + bit-packed tree topology, 2-bit
 // box-bound codes against the parent, group-varint quantized counts — see
 // spatial/serialization.h for the compressed tree body and the per-backend
@@ -42,40 +38,35 @@
 //     i32   height               (decomposition height, as Metadata())
 //     ...   per-backend payload  (the rest of the body)
 //
-// Per-backend payloads (v2 form; the → notes give the v3 compressed form):
-//   privtree, simpletree   spatial tree body (spatial/serialization.h):
-//                          u64 node count, then per node in id order
-//                          {i32 parent, f64 count, f64 lo_j/hi_j × dim}
-//                          → v3: compressed tree body (packed parents,
-//                          root box + 2-bit bound codes, counts section)
-//   kdtree                 the same body over plain boxes (v2 and v3)
+// Per-backend payloads:
+//   privtree, simpletree   compressed spatial tree body
+//                          (spatial/serialization.h: packed parents, root
+//                          box + 2-bit bound codes, counts section)
+//   kdtree                 the same body over plain boxes
 //   ug, dawa, wavelet      grid body (hist/grid_codec.h): domain box,
 //                          u64 cells per dim, f64 counts row-major
-//                          (unchanged in v3 — noisy doubles don't pack)
-//   ag                     v2: i64 m1, domain box, f64 level-1 counts
-//                          (m1²), then m1² grid bodies (the level-2
-//                          sub-grids, post-constrained-inference)
-//                          → v3: i64 m1, domain box, f64 level-1 counts,
+//   ag                     compressed AG body (hist/grid_codec.h): i64 m1,
+//                          domain box, f64 level-1 counts, u32 box mode,
 //                          group-varint per-cell granularities (2 per
 //                          cell), then the concatenated raw sub-grid
-//                          counts — sub-grid boxes are recomputed from the
-//                          level-1 cell geometry, which is deterministic
+//                          counts — in box mode 1 the sub-grid boxes are
+//                          recomputed from the level-1 cell geometry
 //   hierarchy              domain box, i32 height, i64 branching,
 //                          u32 consistent flag (0/1), then per level
 //                          1..height-1 the flat f64 counts (sizes derived
-//                          from branching; post-inference; unchanged in v3)
-//   pst_privtree           u64 node count, then per node in id order
-//                          {i32 parent, f64 hist × (alphabet+1)}; children
-//                          are implied by parent links + creation order
-//                          (the SplitNode sibling-group invariant)
-//                          → v3: u64 node count, packed parents
-//                          (core/codec.h PackDeltaI32), then the f64
-//                          histograms in id order
-//   ngram                  u64 node count, then per node in id order
-//                          {i32 parent, f64 noisy count} under the same
+//                          from branching; post-inference)
+//   pst_privtree           u64 node count, packed parents (core/codec.h
+//                          PackDeltaI32, id order, root = -1), then the f64
+//                          histograms (alphabet+1 each) in id order;
+//                          children are implied by parent links + creation
+//                          order (the SplitNode sibling-group invariant)
+//   ngram                  u64 node count, packed parents, then the f64
+//                          noisy counts in id order, under the same
 //                          sibling-group invariant
-//                          → v3: u64 node count, packed parents, then the
-//                          f64 noisy counts in id order
+//
+// Any other version, and the old text formats, are refused with
+// InvalidArgument; in the spill tier such a file is quarantined and its
+// key refits.
 //
 // Loading re-derives every piece of derived state (prefix-sum lattices,
 // summed-area tables, tree depths) deterministically from the released
@@ -100,26 +91,17 @@ namespace privtree::release {
 
 inline constexpr std::string_view kSynopsisMagic = "PRIVTSYN";
 inline constexpr std::uint32_t kSynopsisFormatVersion = 3;
-/// The previous raw-payload format, still loadable (spill dirs written
-/// before the compressed envelopes landed keep warm-restarting).
-inline constexpr std::uint32_t kSynopsisFormatVersionV2 = 2;
 
 /// Writes the envelope header + body for a fitted method; backends call
-/// this from their Save overrides with the payload they encoded.  `version`
-/// selects the header layout and must match the payload encoding the
-/// caller produced — production writers always use the default; tests use
-/// kSynopsisFormatVersionV2 to pin the legacy format.
+/// this from their Save overrides with the payload they encoded.
 Status WriteSynopsis(std::ostream& out, const MethodMetadata& metadata,
-                     std::string_view options_text, std::string_view payload,
-                     std::uint32_t version = kSynopsisFormatVersion);
+                     std::string_view options_text, std::string_view payload);
 
 /// Reads one serialized synopsis from `in` (the whole remaining stream) and
 /// reconstructs the fitted method through `registry`'s loader for the
-/// recorded method name.  v1 text files — the legacy spatial tree format
-/// and the legacy `privtree-pst v1` sequence format — are recognized by
-/// their magic lines and loaded through compat shims as a "privtree" /
-/// "pst_privtree" method with unknown (zero) ε.  Every malformed input
-/// yields a Status error, never a crash or a partial synopsis.
+/// recorded method name.  Every malformed input — including a file in any
+/// format other than v3 — yields a Status error, never a crash or a partial
+/// synopsis.
 Result<std::unique_ptr<Method>> LoadMethod(std::istream& in,
                                            const MethodRegistry& registry);
 
@@ -135,12 +117,10 @@ Status SaveMethodToFile(const Method& method, const std::string& path,
 Result<std::unique_ptr<Method>> LoadMethodFromFile(const std::string& path);
 
 /// Cheap integrity probe of a synopsis file — no payload decode, no
-/// registry lookup.  For v3 files this is header-only: magic, version,
-/// header checksum, and declared body size vs the file's actual size, all
-/// from one small read (the body checksum is deferred to LoadMethod, which
-/// verifies it on first access).  v2 files, which carry no header
-/// checksum, fall back to the legacy full read + body checksum; legacy v1
-/// text files pass on magic alone.  OK means "worth loading"; any
+/// registry lookup.  Header-only: magic, version, header checksum, and
+/// declared body size vs the file's actual size, all from one small read
+/// (the body checksum is deferred to LoadMethod, which verifies it on
+/// first access).  OK means "worth loading"; any other version, and any
 /// structural corruption (truncation, a torn tail, a damaged header, zero
 /// length) yields the reason.  The spill tier's warm-restart scan
 /// quarantines files this rejects.  `bytes_scanned`, when non-null, is

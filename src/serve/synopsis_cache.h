@@ -142,8 +142,7 @@ class SynopsisCache {
     std::size_t spill_bytes_written = 0;
     /// Cumulative bytes of spill files read back on rehydration.
     std::size_t spill_bytes_read = 0;
-    /// Bytes read by the warm-restart scan (header probes; full files only
-    /// for legacy envelopes without a header checksum).
+    /// Bytes read by the warm-restart scan (header probes only).
     std::size_t spill_scan_bytes = 0;
   };
 

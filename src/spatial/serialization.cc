@@ -2,94 +2,12 @@
 
 #include <bit>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "core/codec.h"
 
 namespace privtree {
-
-Status SaveSpatialHistogram(const std::string& path,
-                            const SpatialHistogram& hist) {
-  if (hist.tree.empty()) {
-    return Status::InvalidArgument("cannot save an empty histogram");
-  }
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out.precision(17);
-  const std::size_t dim = hist.tree.node(0).domain.box.dim();
-  out << "privtree-histogram v1\n";
-  out << "dim " << dim << "\n";
-  out << "nodes " << hist.tree.size() << "\n";
-  for (std::size_t i = 0; i < hist.tree.size(); ++i) {
-    const auto& node = hist.tree.node(static_cast<NodeId>(i));
-    out << node.parent << ' ' << hist.count[i];
-    for (std::size_t j = 0; j < dim; ++j) {
-      out << ' ' << node.domain.box.lo(j) << ' ' << node.domain.box.hi(j);
-    }
-    out << '\n';
-  }
-  if (!out) return Status::IOError("write failure on " + path);
-  return Status::OK();
-}
-
-Result<SpatialHistogram> LoadSpatialHistogramText(std::istream& in,
-                                                  const std::string& name) {
-  std::string line;
-  if (!std::getline(in, line) || line != "privtree-histogram v1") {
-    return Status::InvalidArgument(name + ": bad magic line");
-  }
-  std::string keyword;
-  std::size_t dim = 0, nodes = 0;
-  if (!(in >> keyword >> dim) || keyword != "dim" || dim == 0 || dim > 8) {
-    return Status::InvalidArgument(name + ": bad dim header");
-  }
-  if (!(in >> keyword >> nodes) || keyword != "nodes" || nodes == 0) {
-    return Status::InvalidArgument(name + ": bad nodes header");
-  }
-
-  SpatialHistogram hist;
-  hist.count.reserve(nodes);
-  std::vector<double> lo(dim), hi(dim);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    NodeId parent = kInvalidNode;
-    double count = 0.0;
-    if (!(in >> parent >> count)) {
-      return Status::InvalidArgument(name + ": truncated node " +
-                                     std::to_string(i));
-    }
-    for (std::size_t j = 0; j < dim; ++j) {
-      if (!(in >> lo[j] >> hi[j]) || !(lo[j] <= hi[j])) {
-        return Status::InvalidArgument(name + ": bad bounds at node " +
-                                       std::to_string(i));
-      }
-    }
-    SpatialCell cell;
-    cell.box = Box(lo, hi);
-    if (i == 0) {
-      if (parent != kInvalidNode) {
-        return Status::InvalidArgument(name + ": root must have parent -1");
-      }
-      hist.tree.AddRoot(std::move(cell));
-    } else {
-      if (parent < 0 || static_cast<std::size_t>(parent) >= i) {
-        return Status::InvalidArgument(name + ": bad parent at node " +
-                                       std::to_string(i));
-      }
-      hist.tree.AddChild(parent, std::move(cell));
-    }
-    hist.count.push_back(count);
-  }
-  return hist;
-}
-
-Result<SpatialHistogram> LoadSpatialHistogram(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  return LoadSpatialHistogramText(in, path);
-}
 
 void WriteBox(ByteWriter& out, const Box& box) {
   for (std::size_t j = 0; j < box.dim(); ++j) {
@@ -115,63 +33,6 @@ bool ReadBox(ByteReader& in, std::size_t dim, Box* out, std::string* error) {
 }
 
 namespace {
-
-/// Shared body codec over the two tree flavors; `make_domain` converts a
-/// Box into the node's Domain and `box_of` extracts it back.
-template <typename Domain, typename BoxOf>
-void WriteTreeBodyImpl(ByteWriter& out, const DecompTree<Domain>& tree,
-                       const std::vector<double>& counts, BoxOf box_of) {
-  out.U64(tree.size());
-  for (std::size_t i = 0; i < tree.size(); ++i) {
-    const auto& node = tree.node(static_cast<NodeId>(i));
-    out.I32(node.parent);
-    out.F64(counts[i]);
-    WriteBox(out, box_of(node.domain));
-  }
-}
-
-template <typename Domain, typename MakeDomain>
-Status ReadTreeBodyImpl(ByteReader& in, std::size_t dim,
-                        DecompTree<Domain>* tree, std::vector<double>* counts,
-                        MakeDomain make_domain) {
-  std::uint64_t nodes = 0;
-  if (!in.U64(&nodes) || nodes == 0) {
-    return Status::InvalidArgument("tree body: bad node count");
-  }
-  // Each node record is 4 + 8 + 16·dim bytes; reject counts the remaining
-  // payload cannot possibly hold before reserving anything.
-  const std::uint64_t record_bytes = 4 + 8 + 16 * static_cast<std::uint64_t>(dim);
-  if (nodes > in.remaining() / record_bytes) {
-    return Status::InvalidArgument("tree body: node count exceeds payload");
-  }
-  counts->reserve(nodes);
-  std::string box_error;
-  for (std::uint64_t i = 0; i < nodes; ++i) {
-    std::int32_t parent = kInvalidNode;
-    double count = 0.0;
-    Box box;
-    if (!in.I32(&parent) || !in.F64(&count) ||
-        !ReadBox(in, dim, &box, &box_error)) {
-      return Status::InvalidArgument("tree body: truncated node " +
-                                     std::to_string(i) +
-                                     (box_error.empty() ? "" : ": " + box_error));
-    }
-    if (i == 0) {
-      if (parent != kInvalidNode) {
-        return Status::InvalidArgument("tree body: root must have parent -1");
-      }
-      tree->AddRoot(make_domain(std::move(box)));
-    } else {
-      if (parent < 0 || static_cast<std::uint64_t>(parent) >= i) {
-        return Status::InvalidArgument("tree body: bad parent at node " +
-                                       std::to_string(i));
-      }
-      tree->AddChild(parent, make_domain(std::move(box)));
-    }
-    counts->push_back(count);
-  }
-  return Status::OK();
-}
 
 /// Bitwise double equality: the bound codes must survive ±0 and round-trip
 /// exactly, so value comparison (`==`) is not enough.
@@ -429,34 +290,6 @@ Status ReadTreeBodyCompressedImpl(ByteReader& in, std::size_t dim,
 }
 
 }  // namespace
-
-void WriteSpatialTreeBody(ByteWriter& out, const DecompTree<SpatialCell>& tree,
-                          const std::vector<double>& counts) {
-  WriteTreeBodyImpl(out, tree, counts,
-                    [](const SpatialCell& c) -> const Box& { return c.box; });
-}
-
-Status ReadSpatialTreeBody(ByteReader& in, std::size_t dim,
-                           DecompTree<SpatialCell>* tree,
-                           std::vector<double>* counts) {
-  return ReadTreeBodyImpl(in, dim, tree, counts, [](Box box) {
-    SpatialCell cell;
-    cell.box = std::move(box);
-    return cell;
-  });
-}
-
-void WriteBoxTreeBody(ByteWriter& out, const DecompTree<Box>& tree,
-                      const std::vector<double>& counts) {
-  WriteTreeBodyImpl(out, tree, counts,
-                    [](const Box& b) -> const Box& { return b; });
-}
-
-Status ReadBoxTreeBody(ByteReader& in, std::size_t dim, DecompTree<Box>* tree,
-                       std::vector<double>* counts) {
-  return ReadTreeBodyImpl(in, dim, tree, counts,
-                          [](Box box) { return box; });
-}
 
 void WriteSpatialTreeBodyCompressed(ByteWriter& out,
                                     const DecompTree<SpatialCell>& tree,

@@ -1,38 +1,13 @@
-// Serialization of released spatial synopses.
+// Binary codecs for released spatial synopses, used inside the synopsis
+// envelope (see release/serialization.h for the envelope spec).
 //
 // A SpatialHistogram is the *output* of the privacy mechanism; persisting
-// and re-loading it is pure post-processing.  Two formats live here:
-//
-//  * The legacy v1 text format (SaveSpatialHistogram / LoadSpatialHistogram),
-//    line-oriented and versioned:
-//
-//      privtree-histogram v1
-//      dim <d>
-//      nodes <count>
-//      <parent> <noisy_count> <lo_1> <hi_1> ... <lo_d> <hi_d>   (per node,
-//                                                               id order)
-//
-//    v1 files keep loading forever: release::LoadMethod recognizes the v1
-//    magic line and routes through LoadSpatialHistogramText (the compat
-//    shim), and the format is pinned by a regression test.
-//
-//  * The binary node-array body used inside the v2 synopsis envelope (see
-//    release/serialization.h for the envelope spec).  The body is shared by
-//    every tree-backed backend:
-//
-//      u64 node_count
-//      per node, in id order:
-//        i32 parent          (-1 for the root)
-//        f64 released count
-//        f64 lo_j, f64 hi_j  for j = 0..dim-1
-//
-// Morton metadata is intentionally not persisted in either format: a loaded
-// synopsis can answer queries but is decoupled from the (sensitive) source
-// data.
+// and re-loading it is pure post-processing.  Morton metadata is
+// intentionally not persisted: a loaded synopsis can answer queries but is
+// decoupled from the (sensitive) source data.
 #ifndef PRIVTREE_SPATIAL_SERIALIZATION_H_
 #define PRIVTREE_SPATIAL_SERIALIZATION_H_
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -43,19 +18,6 @@
 
 namespace privtree {
 
-/// Writes the synopsis to `path` in the legacy v1 text format.
-Status SaveSpatialHistogram(const std::string& path,
-                            const SpatialHistogram& hist);
-
-/// Reads a synopsis written by SaveSpatialHistogram.
-Result<SpatialHistogram> LoadSpatialHistogram(const std::string& path);
-
-/// Parses the v1 text format from an open stream; `name` labels errors
-/// (a path or "<v1 synopsis>").  LoadSpatialHistogram and the envelope
-/// compat shim share this parser.
-Result<SpatialHistogram> LoadSpatialHistogramText(std::istream& in,
-                                                  const std::string& name);
-
 /// Appends a box as dim() (lo, hi) pairs; the dimension is carried by the
 /// enclosing record.
 void WriteBox(ByteWriter& out, const Box& box);
@@ -64,25 +26,12 @@ void WriteBox(ByteWriter& out, const Box& box);
 /// truncation or bounds with !(lo <= hi) — NaNs fail that check too.
 bool ReadBox(ByteReader& in, std::size_t dim, Box* out, std::string* error);
 
-/// Binary node-array body of a spatial decomposition tree (v2 payload).
-void WriteSpatialTreeBody(ByteWriter& out, const DecompTree<SpatialCell>& tree,
-                          const std::vector<double>& counts);
-Status ReadSpatialTreeBody(ByteReader& in, std::size_t dim,
-                           DecompTree<SpatialCell>* tree,
-                           std::vector<double>* counts);
-
-/// Same body layout for plain-box trees (the k-d-tree backend).
-void WriteBoxTreeBody(ByteWriter& out, const DecompTree<Box>& tree,
-                      const std::vector<double>& counts);
-Status ReadBoxTreeBody(ByteReader& in, std::size_t dim, DecompTree<Box>* tree,
-                       std::vector<double>* counts);
-
-/// The compressed tree body used inside v3 envelopes.  Decomposition trees
-/// are highly redundant: every child bound either equals the parent's bound
-/// or the parent's midpoint (`0.5 * (lo + hi)`, the BisectDim expression),
-/// so boxes shrink to a 2-bit code per bound (0 = inherit, 1 = midpoint,
-/// 2 = explicit f64 — matched *bitwise*, so decoding is exact by
-/// construction) on top of delta-bit-packed parent links (core/codec.h).
+/// The compressed tree body of the tree-family envelopes.  Decomposition
+/// trees are highly redundant: every child bound either equals the parent's
+/// bound or the parent's midpoint (`0.5 * (lo + hi)`, the BisectDim
+/// expression), so boxes shrink to a 2-bit code per bound (0 = inherit,
+/// 1 = midpoint, 2 = explicit f64 — matched *bitwise*, so decoding is exact
+/// by construction) on top of delta-bit-packed parent links (core/codec.h).
 /// Layout:
 ///
 ///   u64  node count n

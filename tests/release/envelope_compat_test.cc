@@ -1,15 +1,8 @@
-// Cross-version envelope compatibility.  v3 compressed the per-backend
-// payloads; spill directories written by the previous release are v2, and
-// the contract is that they load forever, bit for bit.  These tests craft
-// genuine v2 envelopes — same header layout, same raw payloads the old
-// writers produced — by transcoding a fresh v3 save through the public
-// codecs, then pin:
+// The compressed (v3) envelope payloads:
 //
-//  * v2 loads answer queries bitwise-identically to the v3 round-trip;
-//  * re-saving a v2-loaded synopsis upgrades it to byte-identical v3
-//    (so a warm restart transparently migrates old spill files);
-//  * the compressed tree-family envelopes are at least 2× smaller than
-//    their v2 form (the perf_opt acceptance bar);
+//  * the compressed tree-family envelopes are at most half the size of the
+//    same envelope carrying the uncompressed node array (the perf_opt
+//    acceptance bar), and AG's strictly smaller than its raw grid records;
 //  * the opt-in `count_quantum` knob round-trips bitwise and shrinks the
 //    envelope further;
 //  * a *valid-checksum* envelope wrapping a corrupted compressed payload —
@@ -21,27 +14,22 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/byteio.h"
-#include "core/codec.h"
-#include "core/tree.h"
 #include "dp/budget.h"
 #include "dp/rng.h"
 #include "eval/workload.h"
 #include "hist/ag.h"
 #include "hist/grid_codec.h"
 #include "release/registry.h"
-#include "release/sequence_query.h"
 #include "release/serialization.h"
 #include "release/session.h"
+#include "seq/sequence.h"
 #include "spatial/box.h"
 #include "spatial/point_set.h"
-#include "spatial/serialization.h"
-#include "spatial/spatial_histogram.h"
 
 namespace privtree::release {
 namespace {
@@ -114,175 +102,29 @@ ParsedEnvelope ParseV3(const std::string& bytes) {
   return parsed;
 }
 
-/// Re-encodes a v3 compressed payload into the raw v2 payload the previous
-/// release wrote, through the public codecs (so the bytes are exactly what
-/// an old spill file holds).
-std::string TranscodePayloadToV2(const ParsedEnvelope& env) {
-  const std::string& name = env.metadata.method;
-  ByteReader in(env.payload);
-  std::string v2;
-  ByteWriter out(&v2);
-  if (name == "privtree" || name == "simpletree") {
-    DecompTree<SpatialCell> tree;
-    std::vector<double> counts;
-    EXPECT_TRUE(ReadSpatialTreeBodyCompressed(in, env.metadata.dim, &tree,
-                                              &counts)
-                    .ok());
-    WriteSpatialTreeBody(out, tree, counts);
-  } else if (name == "kdtree") {
-    DecompTree<Box> tree;
-    std::vector<double> counts;
-    EXPECT_TRUE(
-        ReadBoxTreeBodyCompressed(in, env.metadata.dim, &tree, &counts).ok());
-    WriteBoxTreeBody(out, tree, counts);
-  } else if (name == "ag") {
-    auto grid = ReadAdaptiveGridBodyCompressed(in);
-    EXPECT_TRUE(grid.ok()) << grid.status().ToString();
-    const std::int64_t m1 = grid.value().level1_granularity();
-    out.I64(m1);
-    WriteBox(out, grid.value().domain());
-    out.F64Span(grid.value().level1_counts());
-    for (const GridHistogram& sub : grid.value().level2()) {
-      WriteGridHistogram(out, sub);
-    }
-  } else if (name == "pst_privtree" || name == "ngram") {
-    std::uint64_t n = 0;
-    std::string packed;
-    std::vector<NodeId> parents;
-    EXPECT_TRUE(in.U64(&n));
-    EXPECT_TRUE(in.Str(&packed));
-    EXPECT_TRUE(UnpackDeltaI32(packed, n, &parents));
-    out.U64(n);
-    if (name == "pst_privtree") {
-      const std::size_t beta = env.metadata.dim + 1;  // dim = alphabet size.
-      for (std::uint64_t i = 0; i < n; ++i) {
-        std::vector<double> hist;
-        EXPECT_TRUE(in.F64Vec(beta, &hist));
-        out.I32(parents[i]);
-        out.F64Span(hist);
-      }
-    } else {
-      std::vector<double> counts;
-      EXPECT_TRUE(in.F64Vec(n, &counts));
-      for (std::uint64_t i = 0; i < n; ++i) {
-        out.I32(parents[i]);
-        out.F64(counts[i]);
-      }
-    }
-  } else {
-    ADD_FAILURE() << "no v2 transcoder for " << name;
-  }
-  EXPECT_TRUE(in.AtEnd()) << name << " payload not fully consumed";
-  return v2;
+/// Bytes the uncompressed node array of an n-node, d-dimensional tree
+/// takes: u64 node count, then per node {i32 parent, f64 count, f64 lo/hi
+/// × d}.
+std::size_t RawTreePayloadBytes(std::size_t nodes, std::size_t dim) {
+  return 8 + nodes * (4 + 8 + 16 * dim);
 }
 
-std::string CraftV2Envelope(const ParsedEnvelope& env,
-                            const std::string& v2_payload) {
-  std::ostringstream out;
-  EXPECT_TRUE(WriteSynopsis(out, env.metadata, env.options_text, v2_payload,
-                            kSynopsisFormatVersionV2)
-                  .ok());
-  return std::move(out).str();
-}
-
-TEST(EnvelopeCompatTest, V2SpatialEnvelopesLoadBitForBitAndUpgradeOnSave) {
-  const PointSet points = TestPoints();
-  Rng query_rng(0xBEEF);
-  const std::vector<Box> queries = GenerateRangeQueries(
-      Box::UnitCube(2), 60, kMediumQueries, query_rng);
-
-  struct Case {
-    std::string name;
-    MethodOptions options;
-  };
-  const std::vector<Case> cases = {
-      {"privtree", {}},
-      {"simpletree", {{"height", "5"}}},
-      {"kdtree", {{"height", "6"}}},
-      {"ag", {}},
-  };
-  std::uint64_t seed = 31;
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    const auto fitted = FitSpatial(c.name, c.options, points, seed++);
-    const std::string v3_bytes = SaveToString(*fitted);
-    const ParsedEnvelope env = ParseV3(v3_bytes);
-    const std::string v2_bytes = CraftV2Envelope(env, TranscodePayloadToV2(env));
-
-    auto loaded = LoadFromString(v2_bytes);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-    const MethodMetadata want = fitted->Metadata();
-    const MethodMetadata got = loaded.value()->Metadata();
-    EXPECT_EQ(got.method, want.method);
-    EXPECT_EQ(got.epsilon_spent, want.epsilon_spent);
-    EXPECT_EQ(got.synopsis_size, want.synopsis_size);
-    EXPECT_EQ(got.height, want.height);
-
-    const std::vector<double> want_batch = fitted->QueryBatch(queries);
-    const std::vector<double> got_batch = loaded.value()->QueryBatch(queries);
-    ASSERT_EQ(got_batch.size(), want_batch.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(got_batch[i], want_batch[i]) << "query " << i;
-    }
-    EXPECT_EQ(loaded.value()->Query(queries.front()),
-              fitted->Query(queries.front()));
-
-    // Re-saving the v2 load writes the v3 envelope byte-for-byte: an old
-    // spill file migrates to the compressed format with nothing lost.
-    EXPECT_EQ(SaveToString(*loaded.value()), v3_bytes);
+/// Bytes an AG payload takes as raw grid records: i64 m1, the domain box,
+/// the m1² level-1 counts, then per level-1 cell a full sub-grid record
+/// (box, u64 granularity per dim, f64 counts).
+std::size_t RawAdaptiveGridPayloadBytes(const AdaptiveGrid& grid) {
+  const std::size_t m1 =
+      static_cast<std::size_t>(grid.level1_granularity());
+  std::size_t bytes = 8 + 32 + 8 * m1 * m1;
+  for (const GridHistogram& sub : grid.level2()) {
+    bytes += 32 + 16 + 8 * sub.total_cells();
   }
-}
-
-TEST(EnvelopeCompatTest, V2SequenceEnvelopesLoadBitForBitAndUpgradeOnSave) {
-  Rng rng(0x5EC7E57);
-  SequenceDataset data(4);
-  std::vector<Symbol> s;
-  for (std::size_t i = 0; i < 400; ++i) {
-    s.clear();
-    const std::size_t len = 1 + rng.NextBounded(14);
-    Symbol last = static_cast<Symbol>(rng.NextBounded(4));
-    for (std::size_t j = 0; j < len; ++j) {
-      last = static_cast<Symbol>(rng.NextDouble() < 0.6 ? last
-                                                        : rng.NextBounded(4));
-      s.push_back(last);
-    }
-    data.Add(s);
-  }
-  const SequenceDataset sequences = data.Truncate(12);
-  MethodOptions options;
-  options.Set("l_top", "12");
-
-  std::vector<SequenceQuery> queries;
-  queries.push_back(SequenceQuery::Frequency({0}));
-  queries.push_back(SequenceQuery::Frequency({1, 2}));
-  queries.push_back(SequenceQuery::PrefixCount({0, 1}));
-  queries.push_back(SequenceQuery::TopK(5, 3));
-
-  for (const char* name : {"pst_privtree", "ngram"}) {
-    SCOPED_TRACE(name);
-    ReleaseSession session(sequences, 1.0, 0xC0FFEE);
-    const auto fitted = session.ReleaseRemaining(name, options);
-    const std::string v3_bytes = SaveToString(*fitted);
-    const ParsedEnvelope env = ParseV3(v3_bytes);
-    const std::string v2_bytes = CraftV2Envelope(env, TranscodePayloadToV2(env));
-
-    auto loaded = LoadFromString(v2_bytes);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    const std::vector<double> want = fitted->QueryBatch(std::span(queries));
-    const std::vector<double> got =
-        loaded.value()->QueryBatch(std::span(queries));
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(got[i], want[i]) << "query " << i;
-    }
-    EXPECT_EQ(SaveToString(*loaded.value()), v3_bytes);
-  }
+  return bytes;
 }
 
 TEST(EnvelopeCompatTest, CompressedTreeEnvelopesAreAtLeastHalfTheSize) {
-  // The perf_opt acceptance bar: v3 tree-family envelopes at ≤ half their
-  // v2 size (BENCH_kernels.json records the measured ratios).
+  // The perf_opt acceptance bar: tree-family envelopes at ≤ half the size
+  // of the same envelope around the raw node array.
   const PointSet points = TestPoints();
   std::uint64_t seed = 47;
   for (const char* name : {"privtree", "simpletree", "kdtree"}) {
@@ -290,19 +132,24 @@ TEST(EnvelopeCompatTest, CompressedTreeEnvelopesAreAtLeastHalfTheSize) {
     MethodOptions options;
     if (std::string(name) != "privtree") options.Set("height", "6");
     const auto fitted = FitSpatial(name, options, points, seed++);
-    const std::string v3_bytes = SaveToString(*fitted);
-    const ParsedEnvelope env = ParseV3(v3_bytes);
-    const std::string v2_bytes = CraftV2Envelope(env, TranscodePayloadToV2(env));
-    EXPECT_LE(v3_bytes.size() * 2, v2_bytes.size())
-        << "v3=" << v3_bytes.size() << " v2=" << v2_bytes.size();
+    const std::string bytes = SaveToString(*fitted);
+    const ParsedEnvelope env = ParseV3(bytes);
+    const std::size_t raw_bytes =
+        bytes.size() - env.payload.size() +
+        RawTreePayloadBytes(env.metadata.synopsis_size, env.metadata.dim);
+    EXPECT_LE(bytes.size() * 2, raw_bytes)
+        << "compressed=" << bytes.size() << " raw=" << raw_bytes;
   }
   // AG's payload is dominated by incompressible noisy doubles; the codec
   // still strictly shrinks it (dropped boxes, packed granularities).
-  const auto ag = FitSpatial("ag", {}, points, seed);
-  const std::string ag_v3 = SaveToString(*ag);
-  const ParsedEnvelope ag_env = ParseV3(ag_v3);
-  EXPECT_LT(ag_v3.size(),
-            CraftV2Envelope(ag_env, TranscodePayloadToV2(ag_env)).size());
+  const std::string ag_bytes =
+      SaveToString(*FitSpatial("ag", {}, points, seed));
+  const ParsedEnvelope ag_env = ParseV3(ag_bytes);
+  ByteReader payload(ag_env.payload);
+  auto grid = ReadAdaptiveGridBodyCompressed(payload);
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+  EXPECT_LT(ag_bytes.size(), ag_bytes.size() - ag_env.payload.size() +
+                                 RawAdaptiveGridPayloadBytes(grid.value()));
 }
 
 TEST(EnvelopeCompatTest, QuantizedCountsRoundTripBitwiseAndShrinkFurther) {

@@ -1,19 +1,19 @@
 // The sequence-kind registry backends (pst_privtree, ngram): registration
 // metadata, bit-for-bit fit parity with the direct builders, SequenceQuery
-// batch semantics, envelope round-trips with a corruption sweep, and the
-// legacy `privtree-pst v1` text-format compat regression.
+// batch semantics, and envelope round-trips with a corruption sweep and
+// crafted-payload rejection.
 #include "release/sequence_methods.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/byteio.h"
+#include "core/codec.h"
 #include "dp/budget.h"
 #include "dp/rng.h"
 #include "release/dataset.h"
@@ -23,7 +23,6 @@
 #include "release/session.h"
 #include "seq/ngram.h"
 #include "seq/pst_privtree.h"
-#include "seq/pst_serialization.h"
 #include "seq/sequence.h"
 #include "seq/topk.h"
 
@@ -270,6 +269,9 @@ TEST(SequenceMethodsTest, EnvelopeRoundTripsBitForBit) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(got_answers[i], want_answers[i]) << "query " << i;
     }
+    // Re-saving reproduces the bytes: the structure and every released
+    // histogram survive the load.
+    EXPECT_EQ(SaveToString(*loaded.value()), bytes);
   }
 }
 
@@ -297,8 +299,30 @@ TEST(SequenceMethodsTest, CorruptionSweepYieldsCleanErrors) {
   }
 }
 
+/// A pst_privtree envelope around a hand-built payload: `declared_nodes`,
+/// the packed `parents`, then one all-ones histogram per parent entry.
+std::string CraftPstEnvelope(std::size_t alphabet,
+                             const std::vector<NodeId>& parents,
+                             std::uint64_t declared_nodes) {
+  std::string payload;
+  ByteWriter w(&payload);
+  w.U64(declared_nodes);
+  w.Str(PackDeltaI32(parents));
+  for (std::size_t i = 0; i < parents.size(); ++i) {
+    w.F64Span(std::vector<double>(alphabet + 1, 1.0));
+  }
+  MethodMetadata metadata;
+  metadata.method = "pst_privtree";
+  metadata.dim = alphabet;
+  metadata.synopsis_size = parents.size();
+  std::ostringstream out;
+  EXPECT_TRUE(WriteSynopsis(out, metadata, "", payload).ok());
+  return std::move(out).str();
+}
+
 // A structurally inconsistent payload under a valid checksum must still be
-// rejected: re-encode a crafted body (fractured sibling group).
+// rejected with a clean InvalidArgument — never an abort (a parent split
+// twice) or a huge allocation (a lying node count).
 TEST(SequenceMethodsTest, CraftedPayloadStructureIsRejected) {
   // ngram restore: parents [-1, 0 x (alphabet+1)] is consistent; breaking
   // the group parent mid-way is not.
@@ -308,74 +332,32 @@ TEST(SequenceMethodsTest, CraftedPayloadStructureIsRejected) {
   EXPECT_FALSE(NgramModel::Restore(alphabet, fractured, counts).ok());
   const std::vector<NodeId> consistent = {-1, 0, 0, 0};
   EXPECT_TRUE(NgramModel::Restore(alphabet, consistent, counts).ok());
-}
 
-// Legacy `privtree-pst v1` text files load through release::LoadMethod as
-// a pst_privtree synopsis with unknown (zero) ε — the regression that pins
-// the compat shim.
-TEST(SequenceMethodsTest, LegacyPstV1FilesLoadThroughTheShim) {
-  const SequenceDataset data = TestSequences(150);
-  Rng rng(0x1D);
-  PrivatePstOptions options;
-  options.l_top = kLTop;
-  const auto direct = BuildPrivatePst(data, 1.0, options, rng);
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "legacy_pst_v1.txt")
-          .string();
-  ASSERT_TRUE(SavePstModel(path, direct.model).ok());
-
-  auto loaded = LoadMethodFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const MethodMetadata metadata = loaded.value()->Metadata();
-  EXPECT_EQ(metadata.method, "pst_privtree");
-  EXPECT_EQ(metadata.dim, kAlphabet);
-  EXPECT_EQ(metadata.epsilon_spent, 0.0);  // Unknown budget.
-  EXPECT_EQ(metadata.synopsis_size, direct.model.size());
-
-  // The text format rounds through decimal, but 17 significant digits
-  // round-trip IEEE doubles exactly, so answers still match bit for bit.
-  for (const SequenceQuery& q : MixedQueries()) {
-    const std::vector<double> got =
-        loaded.value()->QueryBatch(std::span<const SequenceQuery>(&q, 1));
-    double want = 0.0;
-    switch (q.kind) {
-      case SequenceQueryKind::kFrequency:
-        want = direct.model.EstimateStringFrequency(q.symbols);
-        break;
-      case SequenceQueryKind::kPrefixCount:
-        want = direct.model.EstimatePrefixCount(q.symbols);
-        break;
-      case SequenceQueryKind::kTopK: {
-        const TopKStrings top = TopKFromModel(direct.model, q.k, q.max_len);
-        want = q.k <= top.counts.size() ? top.counts[q.k - 1] : 0.0;
-        break;
-      }
-    }
-    EXPECT_EQ(got[0], want);
-  }
-  std::remove(path.c_str());
-}
-
-// Crafted v1 text files must fail with a clean Status through the shim —
-// never an abort (duplicate group-start parent) or a huge allocation
-// (lying node count).
-TEST(SequenceMethodsTest, CraftedLegacyV1FilesAreRejectedCleanly) {
-  const auto load_text = [](const std::string& text) {
-    std::istringstream in(text);
-    return LoadMethod(in);
+  // pst_privtree envelopes, each with the reason it must be refused.
+  struct Case {
+    std::string bytes;
+    const char* reason;
   };
-  // Node 0 named as group-start parent twice (alphabet 1 => beta 2).
-  EXPECT_FALSE(load_text("privtree-pst v1\n"
-                         "alphabet 1\n"
-                         "nodes 5\n"
-                         "-1 0 0\n0 0 0\n0 0 0\n0 0 0\n0 0 0\n")
-                   .ok());
-  // Implausible node count in a tiny file.
-  EXPECT_FALSE(load_text("privtree-pst v1\n"
-                         "alphabet 1\n"
-                         "nodes 2000000001\n-1 0 0\n")
-                   .ok());
+  const std::vector<Case> cases = {
+      // alphabet 1 => β = 2: node 0 named as group-start parent twice.
+      {CraftPstEnvelope(1, {-1, 0, 0, 0, 0}, 5), "split twice"},
+      // alphabet 2 => β = 3: 3 nodes cannot be root + whole groups.
+      {CraftPstEnvelope(2, {-1, 0, 0}, 3), "fanout"},
+      // β = 2: the group {3, 4} names two different parents.
+      {CraftPstEnvelope(1, {-1, 0, 0, 1, 2}, 5), "fractured"},
+      // An implausible node count in a tiny payload.
+      {CraftPstEnvelope(1, {-1}, 2000000001), "bad node count"},
+      // Alphabet 0 is no alphabet at all.
+      {CraftPstEnvelope(0, {-1}, 1), "dimensionality"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.reason);
+    const auto loaded = LoadFromString(c.bytes);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(c.reason), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 }  // namespace

@@ -1,17 +1,15 @@
 // The universal synopsis envelope: save → LoadMethod → QueryBatch must be
 // bit-for-bit identical to the fitted in-memory synopsis for every registry
-// method, loaded metadata must reproduce the fit's accounting exactly, the
-// legacy v1 text format must keep loading through the shim, and every
-// corrupted input — truncation, bit flips, wrong magic, crafted headers —
-// must fail with a clean Status, never a crash or a partial synopsis.
+// method, loaded metadata must reproduce the fit's accounting exactly, and
+// every corrupted or foreign input — truncation, bit flips, wrong magic,
+// crafted headers, the retired v1 text and v2 envelope formats — must fail
+// with a clean Status, never a crash or a partial synopsis.
 #include "release/serialization.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
-#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -20,13 +18,10 @@
 #include "dp/budget.h"
 #include "dp/rng.h"
 #include "eval/workload.h"
-#include "release/builtin_methods.h"
 #include "release/options.h"
 #include "release/registry.h"
 #include "spatial/box.h"
 #include "spatial/point_set.h"
-#include "spatial/serialization.h"
-#include "spatial/spatial_histogram.h"
 
 namespace privtree::release {
 namespace {
@@ -42,6 +37,13 @@ PointSet TestPoints(std::size_t n = 4000, std::uint64_t seed = 0x5EED) {
   }
   return points;
 }
+
+/// The retired v1 text formats, as their writers produced them.
+constexpr char kV1HistogramText[] =
+    "privtree-histogram v1\ndim 2\nnodes 3\n-1 10.5 0 1 0 1\n"
+    "0 4.25 0 0.5 0 1\n0 6.25 0.5 1 0 1\n";
+constexpr char kV1PstText[] =
+    "privtree-pst v1\nalphabet 1\nnodes 3\n-1 2 1\n0 1 0\n0 1 1\n";
 
 struct MethodCase {
   std::string name;
@@ -130,45 +132,24 @@ TEST(SynopsisSerializationTest, SaveBeforeFitIsRejected) {
   }
 }
 
-TEST(SynopsisSerializationTest, V1TextFilesLoadThroughTheShim) {
-  const PointSet points = TestPoints(2000);
-  Rng rng(3);
-  const auto hist =
-      BuildPrivTreeHistogram(points, Box::UnitCube(2), 1.0, {}, rng);
-  const std::string path =
-      ::testing::TempDir() + "/privtree_v1_compat.txt";
-  ASSERT_TRUE(SaveSpatialHistogram(path, hist).ok());
-
-  auto loaded = LoadMethodFromFile(path);
-  std::remove(path.c_str());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  // v1 files record neither method name nor ε: they come back as a
-  // "privtree" release with unknown (zero) spent budget...
-  const MethodMetadata metadata = loaded.value()->Metadata();
-  EXPECT_EQ(metadata.method, "privtree");
-  EXPECT_EQ(metadata.dim, 2u);
-  EXPECT_EQ(metadata.epsilon_spent, 0.0);
-  EXPECT_EQ(metadata.synopsis_size, hist.tree.size());
-
-  // ...but answer queries exactly like the histogram they persisted.
-  Rng query_rng(0xBEEF);
-  for (const Box& q : GenerateRangeQueries(Box::UnitCube(2), 40,
-                                           kMediumQueries, query_rng)) {
-    EXPECT_NEAR(loaded.value()->Query(q), hist.Query(q),
-                1e-9 * (1.0 + std::abs(hist.Query(q))));
-  }
+TEST(SynopsisSerializationTest, MissingFileIsIOError) {
+  const auto loaded = LoadMethodFromFile("/nonexistent/synopsis.bin");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
 }
 
 TEST(SynopsisSerializationTest, LoadedSynopsisRoundTripsAgain) {
   // Save → load → save must reproduce the original bytes: nothing about
-  // the release is lost in a load.
+  // the release — tree structure, boxes, counts — is lost in a load.
   const PointSet points = TestPoints(2000);
-  const auto fitted = FitCase({"ag", {}}, points, 29);
-  const std::string bytes = SaveToString(*fitted);
-  auto loaded = LoadFromString(bytes);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(SaveToString(*loaded.value()), bytes);
+  std::uint64_t seed = 29;
+  for (const MethodCase& c : AllCases()) {
+    SCOPED_TRACE(c.name + " [" + c.options.ToString() + "]");
+    const std::string bytes = SaveToString(*FitCase(c, points, seed++));
+    auto loaded = LoadFromString(bytes);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(SaveToString(*loaded.value()), bytes);
+  }
 }
 
 class SynopsisCorruptionTest : public ::testing::Test {
@@ -210,11 +191,21 @@ TEST_F(SynopsisCorruptionTest, EveryBitFlipFailsCleanly) {
 }
 
 TEST_F(SynopsisCorruptionTest, WrongMagicAndGarbageAreRejected) {
+  // Only v3 loads.  The retired formats are refused like any other foreign
+  // bytes: the v1 text files (spatial tree and PST) and a v2-header
+  // envelope (version 2, no header checksum: bytes [28, 36) of a v3 file
+  // dropped; the grid payload is the same in both versions).
+  std::string v2 = grid_bytes_;
+  v2[8] = 2;
+  v2.erase(28, 8);
   for (const std::string& bytes :
        {std::string(), std::string("PRIVTSYM"), std::string("garbage"),
-        std::string(200, '\0'), std::string(200, '\xff')}) {
+        std::string(200, '\0'), std::string(200, '\xff'),
+        std::string(kV1HistogramText), std::string(kV1PstText), v2}) {
     auto loaded = LoadFromString(bytes);
-    EXPECT_FALSE(loaded.ok());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
   }
 }
 

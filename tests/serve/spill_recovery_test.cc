@@ -12,13 +12,16 @@
 // truncation, zero length, a torn header — is caught at startup, while a
 // silently bit-flipped body passes the scan and is quarantined at its
 // first load, when the body checksum fails.  Either way the corruption
-// never serves; only the detection point moved.
+// never serves; only the detection point moved.  Files in the retired
+// formats (v1 text, v2 envelopes) are quarantined by the scan too: the
+// spill tier is a cache, so an old file costs a refit, not data.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,6 +57,18 @@ std::shared_ptr<const release::Method> FitUg(const PointSet& points,
   Rng rng(seed);
   method->Fit(points, Box::UnitCube(2), budget, rng);
   return method;
+}
+
+/// The v2-header form of a v3 envelope: version 2 and no header checksum
+/// (bytes [28, 36) dropped).  The ug grid payload is the same in both
+/// versions, so this is byte-for-byte what a v2 writer produced.
+std::string AsV2Envelope(const release::Method& method) {
+  std::ostringstream out;
+  EXPECT_TRUE(method.Save(out).ok());
+  std::string bytes = std::move(out).str();
+  bytes[8] = 2;
+  bytes.erase(28, 8);
+  return bytes;
 }
 
 SynopsisKey KeyFor(std::uint64_t rng_fingerprint) {
@@ -122,21 +137,30 @@ TEST_F(SpillRecoveryTest, CorruptEnvelopesAreQuarantinedHealthyOnesServed) {
 
     std::ofstream(dir_ / "dead.synopsis.tmp", std::ios::binary) << "torn";
     std::ofstream(dir_ / "README.txt") << "not a synopsis";
+
+    // Keys 6..8 hold files in the retired formats: a v1 spatial text file,
+    // a v1 PST text file and a v2 envelope of the key's own release.
+    std::ofstream(SpillFileFor(6), std::ios::binary)
+        << "privtree-histogram v1\ndim 2\nnodes 1\n-1 10 0 1 0 1\n";
+    std::ofstream(SpillFileFor(7), std::ios::binary)
+        << "privtree-pst v1\nalphabet 1\nnodes 3\n-1 2 1\n0 1 0\n0 1 1\n";
+    std::ofstream(SpillFileFor(8), std::ios::binary)
+        << AsV2Envelope(*FitUg(points, 8));
   }
 
   SynopsisCache cache(1, SpillOptions{dir(), 16});
 
   // The scan's header probes reject the structurally damaged files (keys 1
-  // and 3); the body bit-flip (key 2) is invisible to a header check and
-  // stays adopted for now.  The probes read headers only — a few dozen
-  // bytes per file, never the payloads.
-  EXPECT_EQ(cache.stats().spill_quarantined, 2u);
+  // and 3) and the retired formats (keys 6..8); the body bit-flip (key 2)
+  // is invisible to a header check and stays adopted for now.  The probes
+  // read headers only — a few dozen bytes per file, never the payloads.
+  EXPECT_EQ(cache.stats().spill_quarantined, 5u);
   EXPECT_EQ(cache.SpillFileCount(), 2u);
   EXPECT_GT(cache.stats().spill_scan_bytes, 0u);
-  EXPECT_LE(cache.stats().spill_scan_bytes, 64u * 4u);
+  EXPECT_LE(cache.stats().spill_scan_bytes, 64u * 7u);
   EXPECT_FALSE(fs::exists(dir_ / "dead.synopsis.tmp"));
   EXPECT_TRUE(fs::exists(dir_ / "README.txt"));
-  for (const std::uint64_t k : {1u, 3u}) {
+  for (const std::uint64_t k : {1u, 3u, 6u, 7u, 8u}) {
     EXPECT_FALSE(fs::exists(SpillFileFor(k))) << "key " << k;
     const fs::path aside = SpillFileFor(k).string() + ".quarantined";
     EXPECT_TRUE(fs::exists(aside)) << "key " << k;
@@ -152,7 +176,7 @@ TEST_F(SpillRecoveryTest, CorruptEnvelopesAreQuarantinedHealthyOnesServed) {
     return FitUg(points, 2);
   });
   EXPECT_EQ(flipped_fits, 1);
-  EXPECT_EQ(cache.stats().spill_quarantined, 3u);
+  EXPECT_EQ(cache.stats().spill_quarantined, 6u);
   EXPECT_FALSE(fs::exists(SpillFileFor(2)));
   EXPECT_TRUE(fs::exists(fs::path(SpillFileFor(2).string() +
                                   ".quarantined")));
@@ -184,6 +208,20 @@ TEST_F(SpillRecoveryTest, CorruptEnvelopesAreQuarantinedHealthyOnesServed) {
   EXPECT_EQ(fits, 1);
   cache.FlushSpill();
   EXPECT_TRUE(fs::exists(SpillFileFor(4)));  // Evicted by key 1's fit.
+
+  // A key whose file was in a retired format refits exactly once and
+  // answers bit-for-bit like a fresh fit.
+  for (const std::uint64_t k : {6u, 7u, 8u}) {
+    int refits = 0;
+    const auto refit = cache.GetOrFit(KeyFor(k), [&] {
+      ++refits;
+      return FitUg(points, k);
+    });
+    EXPECT_EQ(refits, 1) << "key " << k;
+    EXPECT_EQ(refit->QueryBatch(queries),
+              FitUg(points, k)->QueryBatch(queries))
+        << "key " << k;
+  }
 }
 
 TEST_F(SpillRecoveryTest, QuarantineIsIdempotentAcrossRestarts) {

@@ -2,144 +2,28 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <cstdint>
 #include <string>
+#include <vector>
 
-#include "dp/rng.h"
-#include "eval/workload.h"
+#include "core/codec.h"
 
 namespace privtree {
 namespace {
 
-class SerializationTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "/privtree_hist_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".txt";
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  static PointSet MakePoints(std::size_t n, Rng& rng) {
-    PointSet points(2);
-    double p[2];
-    for (std::size_t i = 0; i < n; ++i) {
-      p[0] = 0.3 + 0.1 * rng.NextDouble();
-      p[1] = rng.NextDouble();
-      points.Add(p);
-    }
-    return points;
-  }
-
-  std::string path_;
-};
-
-TEST_F(SerializationTest, RoundTripPreservesEveryQueryAnswer) {
-  Rng rng(1);
-  const PointSet points = MakePoints(20000, rng);
-  const auto original =
-      BuildPrivTreeHistogram(points, Box::UnitCube(2), 1.0, {}, rng);
-  ASSERT_TRUE(SaveSpatialHistogram(path_, original).ok());
-  auto loaded = LoadSpatialHistogram(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().tree.size(), original.tree.size());
-  const auto queries =
-      GenerateRangeQueries(Box::UnitCube(2), 50, kMediumQueries, rng);
-  for (const Box& q : queries) {
-    EXPECT_NEAR(loaded.value().Query(q), original.Query(q),
-                1e-9 * (1.0 + std::abs(original.Query(q))));
-  }
-}
-
-TEST_F(SerializationTest, RoundTripPreservesStructure) {
-  Rng rng(2);
-  const PointSet points = MakePoints(5000, rng);
-  const auto original =
-      BuildPrivTreeHistogram(points, Box::UnitCube(2), 0.5, {}, rng);
-  ASSERT_TRUE(SaveSpatialHistogram(path_, original).ok());
-  auto loaded = LoadSpatialHistogram(path_);
-  ASSERT_TRUE(loaded.ok());
-  for (std::size_t i = 0; i < original.tree.size(); ++i) {
-    const auto& a = original.tree.node(static_cast<NodeId>(i));
-    const auto& b = loaded.value().tree.node(static_cast<NodeId>(i));
-    ASSERT_EQ(a.parent, b.parent);
-    ASSERT_EQ(a.depth, b.depth);
-    ASSERT_EQ(a.children.size(), b.children.size());
-    ASSERT_EQ(a.domain.box, b.domain.box);
-  }
-}
-
-TEST_F(SerializationTest, MissingFileIsIOError) {
-  const auto loaded = LoadSpatialHistogram("/nonexistent/h.txt");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
-}
-
-TEST_F(SerializationTest, BadMagicIsInvalidArgument) {
-  std::ofstream(path_) << "not-a-histogram\n";
-  const auto loaded = LoadSpatialHistogram(path_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(SerializationTest, TruncatedFileIsInvalidArgument) {
-  std::ofstream(path_)
-      << "privtree-histogram v1\ndim 2\nnodes 3\n-1 10 0 1 0 1\n";
-  const auto loaded = LoadSpatialHistogram(path_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(SerializationTest, ForwardParentReferenceIsRejected) {
-  std::ofstream(path_) << "privtree-histogram v1\ndim 1\nnodes 2\n"
-                       << "-1 10 0 1\n5 3 0 0.5\n";
-  const auto loaded = LoadSpatialHistogram(path_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(SerializationTest, SaveEmptyHistogramIsRejected) {
-  SpatialHistogram empty;
-  EXPECT_FALSE(SaveSpatialHistogram(path_, empty).ok());
-}
-
-TEST_F(SerializationTest, V1TextFormatIsPinnedForever) {
-  // The v1 layout is frozen: files written by old builds must keep loading
-  // even though new synopses are written in the v2 binary envelope.  This
-  // literal file IS the format — do not regenerate it from code.
-  std::ofstream(path_) << "privtree-histogram v1\n"
-                          "dim 2\n"
-                          "nodes 3\n"
-                          "-1 10.5 0 1 0 1\n"
-                          "0 4.25 0 0.5 0 1\n"
-                          "0 6.25 0.5 1 0 1\n";
-  const auto loaded = LoadSpatialHistogram(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded.value().tree.size(), 3u);
-  EXPECT_EQ(loaded.value().count[0], 10.5);
-  EXPECT_EQ(loaded.value().count[1], 4.25);
-  EXPECT_EQ(loaded.value().count[2], 6.25);
-  EXPECT_EQ(loaded.value().tree.node(1).parent, 0);
-  EXPECT_EQ(loaded.value().tree.node(1).domain.box,
-            Box({0.0, 0.0}, {0.5, 1.0}));
-  // Full-domain query serves the released root count.
-  EXPECT_DOUBLE_EQ(loaded.value().Query(Box({0.0, 0.0}, {1.0, 1.0})), 10.5);
-}
-
-TEST_F(SerializationTest, SaveStillWritesTheV1Header) {
-  Rng rng(4);
-  const PointSet points = MakePoints(500, rng);
-  const auto hist =
-      BuildPrivTreeHistogram(points, Box::UnitCube(2), 1.0, {}, rng);
-  ASSERT_TRUE(SaveSpatialHistogram(path_, hist).ok());
-  std::ifstream in(path_);
-  std::string magic, dim_keyword;
-  ASSERT_TRUE(std::getline(in, magic));
-  EXPECT_EQ(magic, "privtree-histogram v1");
-  std::size_t dim = 0;
-  ASSERT_TRUE(in >> dim_keyword >> dim);
-  EXPECT_EQ(dim_keyword, "dim");
-  EXPECT_EQ(dim, 2u);
+TEST(SpatialTreeBodyTest, ForwardParentReferenceIsRejected) {
+  // Node 1 names node 5 — a parent that does not exist yet.
+  std::string bytes;
+  ByteWriter w(&bytes);
+  w.U64(2);
+  w.Str(PackDeltaI32(std::vector<std::int32_t>{-1, 5}));
+  WriteBox(w, Box::UnitCube(1));
+  ByteReader r(bytes);
+  DecompTree<SpatialCell> tree;
+  std::vector<double> counts;
+  const Status s = ReadSpatialTreeBodyCompressed(r, 1, &tree, &counts);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("bad parent"), std::string::npos) << s.ToString();
 }
 
 }  // namespace
