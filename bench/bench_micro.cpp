@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the library's hot paths: Laplace
-// sampling, Morton counting, PrivTree construction, range queries, PST
-// construction.  These are engineering benchmarks (not paper artifacts)
-// used to keep the reproduction fast enough for the paper-scale sweeps.
+// sampling, Morton counting, PrivTree construction, range queries (the
+// single-query descent and the served batch kernel), PST construction.
+// These are engineering benchmarks (not paper artifacts) used to keep the
+// reproduction fast enough for the paper-scale sweeps.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -13,6 +14,7 @@
 #include "dp/distributions.h"
 #include "dp/rng.h"
 #include "eval/workload.h"
+#include "release/tree_batch.h"
 #include "seq/pst_privtree.h"
 #include "spatial/morton_index.h"
 #include "spatial/spatial_histogram.h"
@@ -83,6 +85,30 @@ void BM_RangeQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RangeQuery);
+
+/// The served tree kernel on one frame of `range(0)` medium boxes, over a
+/// 1M-point road-like PrivTree at ε = 1 (the shape `query_hot` serves).
+void BM_TreeQueryBatch(benchmark::State& state) {
+  static const release::TreeBatchIndex index = [] {
+    Rng data_rng(7);
+    const PointSet points = GenerateRoadLike(1000000, data_rng);
+    Rng rng(7);
+    const auto hist =
+        BuildPrivTreeHistogram(points, Box::UnitCube(2), 1.0, {}, rng);
+    return release::TreeBatchIndex(
+        hist.tree, hist.count,
+        [](const SpatialCell& c) -> const Box& { return c.box; });
+  }();
+  Rng rng(8);
+  const auto queries = GenerateRangeQueries(
+      Box::UnitCube(2), static_cast<std::size_t>(state.range(0)),
+      kMediumQueries, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.Query(queries));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TreeQueryBatch)->Arg(1)->Arg(64)->Arg(8192);
 
 void BM_PrivatePstBuild(benchmark::State& state) {
   Rng data_rng(8);

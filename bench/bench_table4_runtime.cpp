@@ -77,6 +77,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -1357,23 +1358,78 @@ void WriteJson(const std::string& path, std::size_t threads, std::size_t reps,
 // under a bit-for-bit parity gate: any divergence between compressed or
 // vectorized served answers and the originals fails the phase (exit 1).
 // Writes BENCH_kernels.json, the committed snapshot CI's smoke step
-// regenerates.
+// regenerates: every rate is the median and quartiles of kKernelReps
+// measurements, next to an environment block (commit, build type, nproc,
+// CPU model).
 
-/// Runs `body` repeatedly until the measurement is long enough to trust on
-/// a busy CI box; returns elapsed seconds and the rep count.
-double TimedReps(std::size_t* reps_out, const std::function<void()>& body) {
-  std::size_t reps = 0;
-  double elapsed = 0.0;
-  const auto start = std::chrono::steady_clock::now();
-  do {
-    body();
-    ++reps;
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count();
-  } while (elapsed < 0.25 || reps < 3);
-  *reps_out = reps;
-  return elapsed;
+constexpr std::size_t kKernelReps = 5;
+
+/// Median and quartiles of one rate over kKernelReps measurements.
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+/// Measures `units` of work per second of `body`, kKernelReps times; each
+/// measurement repeats `body` until it is long enough to trust on a busy
+/// CI box.
+Spread Rate(double units, const std::function<void()>& body) {
+  std::vector<double> rates;
+  for (std::size_t r = 0; r < kKernelReps; ++r) {
+    std::size_t reps = 0;
+    double elapsed = 0.0;
+    const auto start = std::chrono::steady_clock::now();
+    do {
+      body();
+      ++reps;
+      elapsed = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    } while (elapsed < 0.25 || reps < 3);
+    rates.push_back(units * static_cast<double>(reps) / elapsed);
+  }
+  std::sort(rates.begin(), rates.end());
+  return {rates[kKernelReps / 2], rates[kKernelReps / 4],
+          rates[3 * kKernelReps / 4]};
+}
+
+std::string SpreadJson(const Spread& s) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "{\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}", s.median,
+                s.q1, s.q3);
+  return buf;
+}
+
+/// The environment block of the snapshot.  The commit is read with git
+/// from the source tree the bench was configured from, suffixed "-dirty"
+/// when that tree has uncommitted changes.
+std::string EnvironmentJson() {
+  std::string commit = "unknown";
+  if (std::FILE* git = popen("git -C '" PRIVTREE_SOURCE_DIR
+                             "' describe --always --dirty --abbrev=40 "
+                             "2>/dev/null",
+                             "r")) {
+    char line[128] = {};
+    if (std::fgets(line, sizeof(line), git) != nullptr) {
+      commit.assign(line, std::strcspn(line, "\r\n"));
+    }
+    pclose(git);
+  }
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  return "{\"commit\": \"" + commit + "\", \"build_type\": \"" +
+         PRIVTREE_BUILD_TYPE + "\", \"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": \"" + cpu + "\", \"reps\": " +
+         std::to_string(kKernelReps) + "}";
 }
 
 struct KernelParity {
@@ -1395,16 +1451,23 @@ std::string SaveMethodToString(const release::Method& method) {
 struct EnvelopeRow {
   std::string method;
   std::size_t v3_bytes = 0;
-  double decode_gbps = 0.0;
+  Spread decode_gbps;
 };
 
 struct BatchRow {
   std::string path;
   std::size_t queries = 0;
-  double reference_qps = 0.0;
-  double scalar_qps = 0.0;  ///< 0 when the path has no separate scalar form.
-  double simd_qps = 0.0;    ///< The production kernel (simd where compiled).
+  Spread reference_qps;
+  Spread scalar_qps;  ///< All 0 when the path has no separate scalar form.
+  Spread simd_qps;    ///< The production kernel (simd where compiled).
 };
+
+/// Median kernel rate over median reference rate.
+double Speedup(const BatchRow& row) {
+  return row.reference_qps.median > 0.0
+             ? row.simd_qps.median / row.reference_qps.median
+             : 0.0;
+}
 
 int RunKernelPhase(std::string json_path) {
   if (json_path.empty() || json_path == "BENCH_table4.json") {
@@ -1485,16 +1548,13 @@ int RunKernelPhase(std::string json_path) {
     row.v3_bytes = v3.size();
 
     // Decode throughput over the compressed envelope.
-    std::size_t reps = 0;
     std::shared_ptr<const release::Method> loaded;
-    const double secs = TimedReps(&reps, [&] {
+    row.decode_gbps = Rate(static_cast<double>(v3.size()) / 1e9, [&] {
       std::istringstream in(v3);
       auto result = release::LoadMethod(in);
       PRIVTREE_CHECK(result.ok());
       loaded = std::move(result.value());
     });
-    row.decode_gbps =
-        static_cast<double>(v3.size()) * static_cast<double>(reps) / secs / 1e9;
 
     // Compressed-vs-uncompressed served answers, bit for bit.
     if (sequence_kind) {
@@ -1530,19 +1590,12 @@ int RunKernelPhase(std::string json_path) {
     BatchRow row;
     row.path = "grid_256x256";
     row.queries = queries.size();
-    std::size_t reps = 0;
-    double secs = TimedReps(&reps, [&] { grid.QueryBatchReference(queries); });
-    row.reference_qps =
-        static_cast<double>(queries.size()) * static_cast<double>(reps) / secs;
-    secs = TimedReps(&reps,
-                     [&] { GridQueryBatch2DScalar(view, queries,
-                                                  scalar.data()); });
-    row.scalar_qps =
-        static_cast<double>(queries.size()) * static_cast<double>(reps) / secs;
-    secs = TimedReps(
-        &reps, [&] { GridQueryBatch2DSimd(view, queries, simd.data()); });
+    const auto n = static_cast<double>(queries.size());
+    row.reference_qps = Rate(n, [&] { grid.QueryBatchReference(queries); });
+    row.scalar_qps = Rate(
+        n, [&] { GridQueryBatch2DScalar(view, queries, scalar.data()); });
     row.simd_qps =
-        static_cast<double>(queries.size()) * static_cast<double>(reps) / secs;
+        Rate(n, [&] { GridQueryBatch2DSimd(view, queries, simd.data()); });
     batch_rows.push_back(row);
   }
   // AG: the reference is the pre-kernel serving path — per query, every
@@ -1595,44 +1648,38 @@ int RunKernelPhase(std::string json_path) {
     BatchRow row;
     row.path = "ag_sat";
     row.queries = queries.size();
-    std::size_t reps = 0;
-    double secs = TimedReps(&reps, naive_batch);
-    row.reference_qps =
-        static_cast<double>(queries.size()) * static_cast<double>(reps) / secs;
-    secs = TimedReps(&reps, [&] { grid.QueryBatchReference(queries); });
-    row.scalar_qps =
-        static_cast<double>(queries.size()) * static_cast<double>(reps) / secs;
-    secs = TimedReps(&reps, [&] { grid.QueryBatch(queries); });
-    row.simd_qps =
-        static_cast<double>(queries.size()) * static_cast<double>(reps) / secs;
+    const auto n = static_cast<double>(queries.size());
+    row.reference_qps = Rate(n, naive_batch);
+    row.scalar_qps = Rate(n, [&] { grid.QueryBatchReference(queries); });
+    row.simd_qps = Rate(n, [&] { grid.QueryBatch(queries); });
     batch_rows.push_back(row);
   }
-  // Tree: the template sweep (reference) vs the SoA TreeBatchIndex.
+  // Tree: the reference is the library's single-query descent
+  // (SpatialHistogram::Query, one walk over the node objects per box); the
+  // kernel is the flattened descent behind QueryBatch.  Both visit and sum
+  // in the same order, so parity is bit for bit.
   {
     Rng fit_rng(0x7EE);
     const SpatialHistogram hist =
         BuildPrivTreeHistogram(points, domain, 1.0, {}, fit_rng);
-    const auto box_of = [](const SpatialCell& c) -> const Box& {
-      return c.box;
+    const release::TreeBatchIndex index(
+        hist.tree, hist.count,
+        [](const SpatialCell& c) -> const Box& { return c.box; });
+    std::vector<double> reference(queries.size());
+    const auto descent_loop = [&] {
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        reference[i] = hist.Query(queries[i]);
+      }
     };
-    const release::TreeBatchIndex index(hist.tree, hist.count, box_of);
-    const std::vector<double> reference = release::BatchQueryTree(
-        hist.tree, hist.count, std::span<const Box>(queries), box_of);
+    descent_loop();
     parity.Check(reference == index.Query(queries),
-                 "tree SoA batch index diverges");
+                 "tree kernel diverges from SpatialHistogram::Query");
     BatchRow row;
     row.path = "privtree_tree";
     row.queries = queries.size();
-    std::size_t reps = 0;
-    double secs = TimedReps(&reps, [&] {
-      release::BatchQueryTree(hist.tree, hist.count,
-                              std::span<const Box>(queries), box_of);
-    });
-    row.reference_qps =
-        static_cast<double>(queries.size()) * static_cast<double>(reps) / secs;
-    secs = TimedReps(&reps, [&] { index.Query(queries); });
-    row.simd_qps =
-        static_cast<double>(queries.size()) * static_cast<double>(reps) / secs;
+    const auto n = static_cast<double>(queries.size());
+    row.reference_qps = Rate(n, descent_loop);
+    row.simd_qps = Rate(n, [&] { index.Query(queries); });
     batch_rows.push_back(row);
   }
 
@@ -1643,7 +1690,7 @@ int RunKernelPhase(std::string json_path) {
                               "method", {"v3 bytes", "decode GB/s"});
   for (const EnvelopeRow& row : envelope_rows) {
     envelope_table.AddRow(row.method, {static_cast<double>(row.v3_bytes),
-                                       row.decode_gbps});
+                                       row.decode_gbps.median});
   }
   envelope_table.Print();
   TablePrinter batch_table(
@@ -1651,11 +1698,11 @@ int RunKernelPhase(std::string json_path) {
       {"queries", "reference q/s", "scalar q/s", "kernel q/s", "speedup"});
   bool throughput_target_met = true;
   for (const BatchRow& row : batch_rows) {
-    const double speedup =
-        row.reference_qps > 0.0 ? row.simd_qps / row.reference_qps : 0.0;
-    batch_table.AddRow(row.path,
-                       {static_cast<double>(row.queries), row.reference_qps,
-                        row.scalar_qps, row.simd_qps, speedup});
+    const double speedup = Speedup(row);
+    batch_table.AddRow(row.path, {static_cast<double>(row.queries),
+                                  row.reference_qps.median,
+                                  row.scalar_qps.median, row.simd_qps.median,
+                                  speedup});
     if ((row.path == "grid_256x256" || row.path == "ag_sat") &&
         speedup < 2.0) {
       throughput_target_met = false;
@@ -1673,7 +1720,9 @@ int RunKernelPhase(std::string json_path) {
     std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"simd_kernel\": \"%s\",\n",
+  std::fprintf(f, "{\n  \"environment\": %s,\n",
+               EnvironmentJson().c_str());
+  std::fprintf(f, "  \"simd_kernel\": \"%s\",\n",
                privtree::SimdKernelName());
   std::fprintf(f, "  \"paper_scale\": %s,\n",
                privtree::PaperScale() ? "true" : "false");
@@ -1683,8 +1732,9 @@ int RunKernelPhase(std::string json_path) {
     std::fprintf(
         f,
         "    {\"method\": \"%s\", \"v3_bytes\": %zu, "
-        "\"decode_gbps\": %.4g}%s\n",
-        row.method.c_str(), row.v3_bytes, row.decode_gbps,
+        "\"decode_gbps\": %s}%s\n",
+        row.method.c_str(), row.v3_bytes,
+        SpreadJson(row.decode_gbps).c_str(),
         i + 1 < envelope_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"batch_query\": [\n");
@@ -1692,11 +1742,12 @@ int RunKernelPhase(std::string json_path) {
     const BatchRow& row = batch_rows[i];
     std::fprintf(
         f,
-        "    {\"path\": \"%s\", \"queries\": %zu, \"reference_qps\": %.6g, "
-        "\"scalar_qps\": %.6g, \"kernel_qps\": %.6g, \"speedup\": %.4g}%s\n",
-        row.path.c_str(), row.queries, row.reference_qps, row.scalar_qps,
-        row.simd_qps,
-        row.reference_qps > 0.0 ? row.simd_qps / row.reference_qps : 0.0,
+        "    {\"path\": \"%s\", \"queries\": %zu,\n"
+        "     \"reference_qps\": %s,\n     \"scalar_qps\": %s,\n"
+        "     \"kernel_qps\": %s,\n     \"speedup\": %.4g}%s\n",
+        row.path.c_str(), row.queries, SpreadJson(row.reference_qps).c_str(),
+        SpreadJson(row.scalar_qps).c_str(), SpreadJson(row.simd_qps).c_str(),
+        Speedup(row),
         i + 1 < batch_rows.size() ? "," : "");
   }
   std::fprintf(f,

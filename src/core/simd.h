@@ -1,10 +1,10 @@
 // Compile-time SIMD dispatch for the batch-query kernels.
 //
-// The kernels (hist/grid_kernels.cc, release/tree_batch.cc) are written
-// three times — AVX2 (4 doubles/lane-group), SSE2 (2 doubles), and plain
-// scalar — selected here with `#if`, never at runtime: the scalar fallback
-// is bit-for-bit identical to the vector paths (pinned by tests), so a
-// build's answers do not depend on which ISA it was compiled for.
+// The grid kernels (hist/grid_kernels.cc) are written three times — AVX2
+// (4 doubles/lane-group), SSE2 (2 doubles), and plain scalar — selected
+// here with `#if`, never at runtime: the scalar fallback is bit-for-bit
+// identical to the vector paths (pinned by tests), so a build's answers do
+// not depend on which ISA it was compiled for.
 //
 // x86-64 always has SSE2, so default builds take the 2-wide path; AVX2
 // engages only when the compiler is told to target it (-mavx2 or

@@ -102,7 +102,7 @@ class PrivTreeMethod final : public BuiltinMethod {
 
   double Query(const Box& q) const override {
     PRIVTREE_CHECK(state_.fitted);
-    return hist_.Query(q);
+    return batch_.Query({&q, 1}).front();
   }
 
   std::vector<double> QueryBatch(std::span<const Box> queries) const override {
@@ -168,7 +168,7 @@ class SimpleTreeMethod final : public BuiltinMethod {
 
   double Query(const Box& q) const override {
     PRIVTREE_CHECK(state_.fitted);
-    return hist_.Query(q);
+    return batch_.Query({&q, 1}).front();
   }
 
   std::vector<double> QueryBatch(std::span<const Box> queries) const override {
@@ -434,7 +434,7 @@ class KdTreeMethod final : public BuiltinMethod {
 
   double Query(const Box& q) const override {
     PRIVTREE_CHECK(state_.fitted);
-    return tree_->Query(q);
+    return batch_.Query({&q, 1}).front();
   }
 
   std::vector<double> QueryBatch(std::span<const Box> queries) const override {

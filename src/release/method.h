@@ -93,12 +93,13 @@ class Method {
 
   /// Answers many boxes at once.  The default loops over Query; every
   /// built-in backend overrides it with a batch strategy: tree-backed
-  /// methods sweep the node array once, classifying every query against
-  /// every visited node (see release/tree_batch.h), and the grid family
-  /// answers through prefix-sum lattices / summed-area tables with the
-  /// per-query allocations hoisted out (see hist/grid.h, hist/ag.h,
-  /// hist/hierarchy.h).  A fitted Method is immutable, so Query/QueryBatch
-  /// may be called concurrently from many threads (see serve/).
+  /// methods run one root-to-cell descent per box over a flattened copy of
+  /// the tree, sharing one stack across the batch (see
+  /// release/tree_batch.h), and the grid family answers through prefix-sum
+  /// lattices / summed-area tables with the per-query allocations hoisted
+  /// out (see hist/grid.h, hist/ag.h, hist/hierarchy.h).  A fitted Method
+  /// is immutable, so Query/QueryBatch may be called concurrently from many
+  /// threads (see serve/).
   virtual std::vector<double> QueryBatch(std::span<const Box> queries) const;
 
   /// Answers many sequence queries at once (one double per spec — see

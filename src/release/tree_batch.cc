@@ -6,42 +6,35 @@ namespace privtree::release {
 
 namespace {
 
-// The three geometric predicates of the sweep, on the SoA bound planes.
-// Each mirrors the Box member it replaces operand-for-operand (the query is
-// `this`, the node is `other`, except IntersectionVolume where the node box
-// is the receiver — exactly as BatchQueryTree invokes them), so the
-// classification and the partial-leaf arithmetic are bit-identical.
+// The three Box predicates of the descent on raw bound arrays.  Each
+// mirrors its Box member operand for operand: the query is the receiver of
+// Intersects and ContainsBox, the node of IntersectionVolume, exactly as
+// SpatialHistogram::Query calls them.
 
-inline bool QueryIntersectsNode(const Box& q, const double* lo,
-                                const double* hi, std::size_t stride,
-                                std::size_t v, std::size_t dim) {
+inline bool QueryIntersectsNode(const double* qlo, const double* qhi,
+                                const double* lo, const double* hi,
+                                std::size_t dim) {
   for (std::size_t j = 0; j < dim; ++j) {
-    if (std::min(q.hi(j), hi[j * stride + v]) <=
-        std::max(q.lo(j), lo[j * stride + v])) {
-      return false;
-    }
+    if (std::min(qhi[j], hi[j]) <= std::max(qlo[j], lo[j])) return false;
   }
   return true;
 }
 
-inline bool QueryContainsNode(const Box& q, const double* lo,
-                              const double* hi, std::size_t stride,
-                              std::size_t v, std::size_t dim) {
+inline bool QueryContainsNode(const double* qlo, const double* qhi,
+                              const double* lo, const double* hi,
+                              std::size_t dim) {
   for (std::size_t j = 0; j < dim; ++j) {
-    if (lo[j * stride + v] < q.lo(j) || hi[j * stride + v] > q.hi(j)) {
-      return false;
-    }
+    if (lo[j] < qlo[j] || hi[j] > qhi[j]) return false;
   }
   return true;
 }
 
-inline double NodeIntersectionVolume(const Box& q, const double* lo,
-                                     const double* hi, std::size_t stride,
-                                     std::size_t v, std::size_t dim) {
+inline double NodeIntersectionVolume(const double* lo, const double* hi,
+                                     const double* qlo, const double* qhi,
+                                     std::size_t dim) {
   double volume = 1.0;
   for (std::size_t j = 0; j < dim; ++j) {
-    const double width = std::min(hi[j * stride + v], q.hi(j)) -
-                         std::max(lo[j * stride + v], q.lo(j));
+    const double width = std::min(hi[j], qhi[j]) - std::max(lo[j], qlo[j]);
     if (width <= 0.0) return 0.0;
     volume *= width;
   }
@@ -53,51 +46,43 @@ inline double NodeIntersectionVolume(const Box& q, const double* lo,
 std::vector<double> TreeBatchIndex::Query(std::span<const Box> queries) const {
   std::vector<double> answers(queries.size(), 0.0);
   if (n_ == 0 || queries.empty()) return answers;
-  const double* lo = lo_.data();
-  const double* hi = hi_.data();
-
-  std::vector<std::vector<std::uint32_t>> active(n_);
-  constexpr std::size_t kRoot = 0;
-  for (std::uint32_t q = 0; q < queries.size(); ++q) {
-    if (!QueryIntersectsNode(queries[q], lo, hi, n_, kRoot, dim_)) continue;
-    if (QueryContainsNode(queries[q], lo, hi, n_, kRoot, dim_)) {
-      answers[q] += count_[kRoot];
-      continue;
-    }
-    active[kRoot].push_back(q);
-  }
-
-  for (std::size_t v = 0; v < n_; ++v) {
-    if (active[v].empty()) continue;
-    if (child_offset_[v] == child_offset_[v + 1]) {
-      // Partial leaf: uniformity assumption inside the cell.
-      const double volume = volume_[v];
-      if (volume > 0.0) {
-        for (const std::uint32_t q : active[v]) {
-          answers[q] +=
-              count_[v] *
-              (NodeIntersectionVolume(queries[q], lo, hi, n_, v, dim_) /
-               volume);
-        }
-      }
-    } else {
-      for (std::uint32_t c = child_offset_[v]; c < child_offset_[v + 1]; ++c) {
-        const auto child = static_cast<std::size_t>(child_ids_[c]);
-        for (const std::uint32_t q : active[v]) {
-          if (!QueryIntersectsNode(queries[q], lo, hi, n_, child, dim_)) {
-            continue;
-          }
-          if (QueryContainsNode(queries[q], lo, hi, n_, child, dim_)) {
-            answers[q] += count_[child];
-          } else {
-            active[child].push_back(q);
-          }
-        }
-      }
-    }
-    active[v] = {};  // Free the list; the sweep never revisits v.
+  std::vector<NodeId> stack(stack_bound_);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    PRIVTREE_CHECK_EQ(queries[i].dim(), dim_);
+    answers[i] = Descend(queries[i], stack.data());
   }
   return answers;
+}
+
+double TreeBatchIndex::Descend(const Box& q, NodeId* stack) const {
+  const double* qlo = q.lo().data();
+  const double* qhi = q.hi().data();
+  double ans = 0.0;
+  std::size_t top = 0;
+  stack[top++] = 0;  // The root.
+  while (top > 0) {
+    const auto v = static_cast<std::size_t>(stack[--top]);
+    const double* lo = &bounds_[2 * dim_ * v];
+    const double* hi = lo + dim_;
+    if (!QueryIntersectsNode(qlo, qhi, lo, hi, dim_)) continue;  // Disjoint.
+    if (QueryContainsNode(qlo, qhi, lo, hi, dim_)) {  // Fully contained.
+      ans += count_[v];
+      continue;
+    }
+    const std::uint32_t first = child_offset_[v];
+    const std::uint32_t last = child_offset_[v + 1];
+    if (first != last) {  // Partial, internal.
+      for (std::uint32_t c = first; c < last; ++c) stack[top++] = child_ids_[c];
+      continue;
+    }
+    // Partial leaf: uniformity assumption inside the cell.
+    const double volume = volume_[v];
+    if (volume > 0.0) {
+      ans += count_[v] *
+             (NodeIntersectionVolume(lo, hi, qlo, qhi, dim_) / volume);
+    }
+  }
+  return ans;
 }
 
 }  // namespace privtree::release

@@ -1,27 +1,26 @@
-// Batched range-count evaluation over decomposition trees.
+// The range-count kernel of the tree-backed release methods.
 //
-// The per-query traversal in SpatialHistogram::Query walks the tree once
-// per query; with thousands of workload queries the node array is re-read
-// from memory each time.  BatchQueryTree instead sweeps the node array
-// *once* in id order (children always have larger ids than their parents,
-// see DecompTree::AddChild) carrying, per node, the list of queries that
-// partially overlap it.  Each query/node pair is classified exactly as in
-// the single-query traversal — disjoint, fully covering, partial-internal,
-// partial-leaf (uniformity assumption) — so the answers agree with repeated
-// Query up to floating-point summation order.
+// PrivTree answers a box by descending from the root and stopping at every
+// cell that is disjoint from the box or inside it (Section 2.2 of the
+// paper); a partial leaf contributes under the uniformity assumption.  A
+// box therefore costs O(cells touched), not O(tree).
 //
-// TreeBatchIndex is the production form of that sweep: the tree is
-// flattened once, at fit/load time, into structure-of-arrays storage
-// (dimension-major bound planes, a count array, precomputed leaf volumes,
-// CSR child lists) so the per-(query, node) classification reads
-// contiguous doubles instead of chasing DecompNode and Box allocations.
-// Its Query answers are bit-for-bit identical to BatchQueryTree on the
-// same tree — the comparisons and arithmetic run in the same order on the
-// same values — and the template sweep below is kept as the parity oracle
-// the tests compare against.
+// TreeBatchIndex runs that descent over a copy of the tree flattened once,
+// at fit/load time: node-major bounds (lo[0..d) then hi[0..d) for each
+// node, so one node's box is one contiguous run of doubles), the released
+// counts, precomputed leaf volumes and CSR child lists.  Query reuses one
+// explicit stack, sized from the tree's shape, for every box of the batch.
+//
+// The descent mirrors SpatialHistogram::Query and KdTreeHistogram::Query
+// step for step: children are pushed in CSR (AddChild) order and the last
+// one is popped first, and the Box predicates run with the same operands in
+// the same order.  The answers are therefore bit-identical to those
+// single-query descents, which stay as the library API and are the
+// kernel's test oracle.
 #ifndef PRIVTREE_RELEASE_TREE_BATCH_H_
 #define PRIVTREE_RELEASE_TREE_BATCH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -32,70 +31,15 @@
 
 namespace privtree::release {
 
-/// Answers all `queries` against a decomposition tree with released counts
-/// `count` (indexed by node id).  `box_of` maps a node's Domain to its
-/// geometric Box.  Returns one estimate per query, in input order.
-template <typename Domain, typename BoxOf>
-std::vector<double> BatchQueryTree(const DecompTree<Domain>& tree,
-                                   const std::vector<double>& count,
-                                   std::span<const Box> queries,
-                                   BoxOf&& box_of) {
-  std::vector<double> answers(queries.size(), 0.0);
-  if (tree.empty() || queries.empty()) return answers;
-  PRIVTREE_CHECK_EQ(count.size(), tree.size());
-
-  // active[v] = queries partially overlapping node v, discovered while
-  // processing v's parent.  Lists are freed as soon as the node is swept.
-  std::vector<std::vector<std::uint32_t>> active(tree.size());
-  const Box& root_box = box_of(tree.node(tree.root()).domain);
-  for (std::uint32_t q = 0; q < queries.size(); ++q) {
-    if (!queries[q].Intersects(root_box)) continue;
-    if (queries[q].ContainsBox(root_box)) {
-      answers[q] += count[tree.root()];
-      continue;
-    }
-    active[tree.root()].push_back(q);
-  }
-
-  for (std::size_t v = 0; v < tree.size(); ++v) {
-    if (active[v].empty()) continue;
-    const auto& node = tree.node(static_cast<NodeId>(v));
-    if (node.is_leaf()) {
-      // Partial leaf: uniformity assumption inside the cell.
-      const Box& dom = box_of(node.domain);
-      const double volume = dom.Volume();
-      if (volume > 0.0) {
-        for (const std::uint32_t q : active[v]) {
-          answers[q] += count[v] * (dom.IntersectionVolume(queries[q]) / volume);
-        }
-      }
-    } else {
-      for (const NodeId child : node.children) {
-        const Box& child_box = box_of(tree.node(child).domain);
-        for (const std::uint32_t q : active[v]) {
-          if (!queries[q].Intersects(child_box)) continue;
-          if (queries[q].ContainsBox(child_box)) {
-            answers[q] += count[child];
-          } else {
-            active[child].push_back(q);
-          }
-        }
-      }
-    }
-    active[v] = {};  // Free the list; the sweep never revisits v.
-  }
-  return answers;
-}
-
-/// Structure-of-arrays snapshot of a decomposition tree with released
-/// counts, built once per synopsis and reused by every QueryBatch call.
+/// Flattened snapshot of a decomposition tree with released counts, built
+/// once per synopsis and reused by every Query call.
 class TreeBatchIndex {
  public:
   /// An empty index answers every query with 0.
   TreeBatchIndex() = default;
 
-  /// Flattens `tree` (bounds via `box_of`, as in BatchQueryTree) and takes
-  /// ownership of the released counts.
+  /// Flattens `tree` (`box_of` maps a node's Domain to its geometric Box)
+  /// and takes ownership of the released counts, indexed by node id.
   template <typename Domain, typename BoxOf>
   TreeBatchIndex(const DecompTree<Domain>& tree, std::vector<double> count,
                  BoxOf&& box_of)
@@ -106,39 +50,49 @@ class TreeBatchIndex {
     }
     PRIVTREE_CHECK_EQ(count_.size(), n_);
     dim_ = box_of(tree.node(tree.root()).domain).dim();
-    lo_.resize(dim_ * n_);
-    hi_.resize(dim_ * n_);
+    bounds_.resize(2 * dim_ * n_);
     volume_.resize(n_);
     child_offset_.assign(n_ + 1, 0);
+    std::size_t height = 0;
+    std::size_t max_children = 0;
     for (std::size_t v = 0; v < n_; ++v) {
       const auto& node = tree.node(static_cast<NodeId>(v));
       const Box& box = box_of(node.domain);
       PRIVTREE_CHECK_EQ(box.dim(), dim_);
-      for (std::size_t j = 0; j < dim_; ++j) {
-        lo_[j * n_ + v] = box.lo(j);
-        hi_[j * n_ + v] = box.hi(j);
-      }
+      double* lo = &bounds_[2 * dim_ * v];
+      std::copy(box.lo().begin(), box.lo().end(), lo);
+      std::copy(box.hi().begin(), box.hi().end(), lo + dim_);
       volume_[v] = box.Volume();
       child_offset_[v + 1] =
           child_offset_[v] + static_cast<std::uint32_t>(node.children.size());
       child_ids_.insert(child_ids_.end(), node.children.begin(),
                         node.children.end());
+      height = std::max(height, static_cast<std::size_t>(node.depth));
+      max_children = std::max(max_children, node.children.size());
     }
+    // A node at depth k is popped with at most k * (max_children - 1)
+    // siblings of its ancestors still pending, and internal nodes sit at
+    // depth < height.
+    stack_bound_ = height * (std::max<std::size_t>(max_children, 1) - 1) + 1;
   }
 
   bool empty() const { return n_ == 0; }
   std::size_t size() const { return n_; }
   std::size_t dim() const { return dim_; }
 
-  /// Answers all queries; bit-for-bit equal to BatchQueryTree on the
-  /// source tree and counts.
+  /// One estimate per query, in input order; bit-for-bit equal to
+  /// SpatialHistogram::Query / KdTreeHistogram::Query on the source tree
+  /// and counts.  Every query must have dim() dimensions (unless the index
+  /// is empty).
   std::vector<double> Query(std::span<const Box> queries) const;
 
  private:
+  double Descend(const Box& q, NodeId* stack) const;
+
   std::size_t n_ = 0;
   std::size_t dim_ = 0;
-  std::vector<double> lo_;      // Dimension-major: lo_[j * n_ + v].
-  std::vector<double> hi_;
+  std::size_t stack_bound_ = 0;  // Deepest the descent stack can get.
+  std::vector<double> bounds_;  // Node-major: lo at [2*dim*v], hi after it.
   std::vector<double> count_;   // Released count per node id.
   std::vector<double> volume_;  // Precomputed Box::Volume per node.
   std::vector<std::uint32_t> child_offset_;  // CSR offsets, n_ + 1 entries.

@@ -1,11 +1,12 @@
 // The bit-for-bit contract of the batch-query kernels.  Every specialized
-// path — the flat 2-d grid kernels (scalar and SIMD), the SoA tree sweep
-// (TreeBatchIndex), AG's kernel-view boundary path — must answer exactly
-// like its reference implementation on every input, including degenerate
-// and adversarial boxes, and must stay deterministic under concurrent
-// callers.  Parity is EXPECT_EQ on doubles throughout: "close" is a bug
-// here, because the serving layer promises compressed/vectorized answers
-// indistinguishable from the originals.
+// path — the flat 2-d grid kernels (scalar and SIMD), the flattened tree
+// descent (TreeBatchIndex, against SpatialHistogram::Query and
+// KdTreeHistogram::Query), AG's kernel-view boundary path — must answer
+// exactly like its reference implementation on every input, including
+// degenerate and adversarial boxes, and must stay deterministic under
+// concurrent callers.  Parity is EXPECT_EQ on doubles throughout: "close"
+// is a bug here, because the serving layer promises compressed/vectorized
+// answers indistinguishable from the originals.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -137,11 +138,75 @@ TEST(GridKernelParityTest, NonTwoDimensionalGridsKeepTheGenericPath) {
   }
 }
 
-TEST(TreeBatchIndexParityTest, MatchesTheTemplateSweepOnSpatialTrees) {
-  const PointSet points = TestPoints(4000, 0x7EE);
-  const std::vector<Box> queries = AdversarialQueries(250, 0x7EE1);
-  const auto box_of = [](const SpatialCell& c) -> const Box& { return c.box; };
+const Box& CellBox(const SpatialCell& c) { return c.box; }
 
+/// Boxes cut from the tree's own cell boundaries: every `stride`-th cell
+/// itself, the cell's upper neighbour that only touches it, a box from the
+/// cell's lower corner past its upper corner, and the zero-volume slab on
+/// its lower face.
+std::vector<Box> CellBoundaryQueries(const SpatialHistogram& hist,
+                                     std::size_t stride) {
+  std::vector<Box> out;
+  for (std::size_t v = 0; v < hist.tree.size(); v += stride) {
+    const Box& cell = hist.tree.node(static_cast<NodeId>(v)).domain.box;
+    std::vector<double> lo = cell.lo();
+    std::vector<double> hi = cell.hi();
+    out.push_back(cell);
+    std::vector<double> touch_lo = lo, touch_hi = hi;
+    touch_lo[0] = hi[0];
+    touch_hi[0] = hi[0] + cell.Width(0);
+    out.emplace_back(touch_lo, touch_hi);
+    std::vector<double> past = hi;
+    for (std::size_t j = 0; j < past.size(); ++j) past[j] += cell.Width(j) / 2;
+    out.emplace_back(lo, past);
+    std::vector<double> face = hi;
+    face[0] = lo[0];
+    out.emplace_back(lo, face);
+  }
+  return out;
+}
+
+/// Random boxes in [0,1)^dim plus the zero-volume and boundary shapes, in
+/// any dimension.
+std::vector<Box> MixedQueries(std::size_t dim, std::size_t n,
+                              std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Box> queries =
+      GenerateRangeQueries(Box::UnitCube(dim), n, kMediumQueries, rng);
+  const std::vector<double> zero(dim, 0.0), one(dim, 1.0), half(dim, 0.5);
+  queries.push_back(Box::UnitCube(dim));            // Full cover.
+  queries.emplace_back(zero, zero);                 // A point at the corner.
+  queries.emplace_back(half, half);                 // A point on a split.
+  queries.emplace_back(one, std::vector<double>(dim, 2.0));  // Touches hi.
+  std::vector<double> slab_hi = one;
+  slab_hi[0] = 0.25;
+  queries.emplace_back(std::vector<double>(dim, 0.25), slab_hi);  // Slab.
+  return queries;
+}
+
+/// The kernel equals SpatialHistogram::Query bit for bit on every box.
+void ExpectTreeKernelMatchesDescent(const SpatialHistogram& hist,
+                                    const std::vector<Box>& queries) {
+  const release::TreeBatchIndex index(hist.tree, hist.count, CellBox);
+  ASSERT_EQ(index.size(), hist.tree.size());
+  const std::vector<double> got = index.Query(queries);
+  ASSERT_EQ(got.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(got[i], hist.Query(queries[i])) << "query " << i;
+  }
+}
+
+void ExpectTreeKernelMatchesDescentOnMixedQueries(const SpatialHistogram& hist,
+                                                  std::size_t dim,
+                                                  std::uint64_t seed) {
+  std::vector<Box> queries = MixedQueries(dim, 300, seed);
+  const std::vector<Box> cells = CellBoundaryQueries(hist, 7);
+  queries.insert(queries.end(), cells.begin(), cells.end());
+  ExpectTreeKernelMatchesDescent(hist, queries);
+}
+
+TEST(TreeBatchIndexParityTest, MatchesTheDescentOnTwoDimensionalTrees) {
+  const PointSet points = TestPoints(4000, 0x7EE);
   Rng privtree_rng(5);
   const SpatialHistogram privtree = BuildPrivTreeHistogram(
       points, Box::UnitCube(2), 1.0, {}, privtree_rng);
@@ -151,34 +216,75 @@ TEST(TreeBatchIndexParityTest, MatchesTheTemplateSweepOnSpatialTrees) {
   const SpatialHistogram simple = BuildSimpleTreeHistogram(
       points, Box::UnitCube(2), 1.0, simple_options, simple_rng);
 
+  std::vector<Box> queries = AdversarialQueries(250, 0x7EE1);
   for (const SpatialHistogram* hist : {&privtree, &simple}) {
-    const std::vector<double> want = release::BatchQueryTree(
-        hist->tree, hist->count, std::span<const Box>(queries), box_of);
-    const release::TreeBatchIndex index(hist->tree, hist->count, box_of);
-    EXPECT_EQ(index.size(), hist->tree.size());
-    const std::vector<double> got = index.Query(queries);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(got[i], want[i]) << "query " << i;
+    const std::vector<Box> cells = CellBoundaryQueries(*hist, 5);
+    std::vector<Box> all = queries;
+    all.insert(all.end(), cells.begin(), cells.end());
+    ExpectTreeKernelMatchesDescent(*hist, all);
+  }
+}
+
+TEST(TreeBatchIndexParityTest, MatchesTheDescentOnAOneDimensionalTree) {
+  Rng rng(0x1D7);
+  const SpatialHistogram hist = BuildPrivTreeHistogram(
+      TestPoints(3000, 0x1D6, 1), Box::UnitCube(1), 1.0, {}, rng);
+  ASSERT_GT(hist.tree.size(), 3u);
+  ExpectTreeKernelMatchesDescentOnMixedQueries(hist, 1, 0x1D8);
+}
+
+TEST(TreeBatchIndexParityTest, MatchesTheDescentOnThreeDimensionalTrees) {
+  const PointSet points = TestPoints(4000, 0x3D7, 3);
+  for (const int dims_per_split : {0, 1}) {  // Fanout 8, then fanout 2.
+    SCOPED_TRACE(testing::Message() << "dims_per_split " << dims_per_split);
+    PrivTreeHistogramOptions options;
+    options.dims_per_split = dims_per_split;
+    Rng rng(0x3D8);
+    const SpatialHistogram hist =
+        BuildPrivTreeHistogram(points, Box::UnitCube(3), 1.0, options, rng);
+    ASSERT_EQ(hist.tree.node(hist.tree.root()).children.size(),
+              dims_per_split == 0 ? 8u : 2u);
+    ExpectTreeKernelMatchesDescentOnMixedQueries(hist, 3, 0x3D9);
+  }
+}
+
+TEST(TreeBatchIndexParityTest, MatchesTheDescentAtEveryBatchSize) {
+  // One stack serves every box of a batch; no box may see state left over
+  // from the one before it, at any batch size.
+  Rng rng(0xB5);
+  const SpatialHistogram hist = BuildPrivTreeHistogram(
+      TestPoints(20000, 0xB4), Box::UnitCube(2), 1.0, {}, rng);
+  const release::TreeBatchIndex index(hist.tree, hist.count, CellBox);
+  Rng query_rng(0xB6);
+  const std::vector<Box> queries =
+      GenerateRangeQueries(Box::UnitCube(2), 8192, kMediumQueries, query_rng);
+  for (const std::size_t batch : {0u, 1u, 64u, 8192u}) {
+    SCOPED_TRACE(testing::Message() << "batch " << batch);
+    const std::vector<double> got =
+        index.Query(std::span<const Box>(queries.data(), batch));
+    ASSERT_EQ(got.size(), batch);
+    for (std::size_t i = 0; i < batch; ++i) {
+      EXPECT_EQ(got[i], hist.Query(queries[i])) << "query " << i;
     }
   }
 }
 
-TEST(TreeBatchIndexParityTest, MatchesTheTemplateSweepOnKdTrees) {
+TEST(TreeBatchIndexParityTest, MatchesTheDescentOnKdTrees) {
   const PointSet points = TestPoints(3000, 0x1D);
   Rng rng(0x1D1);
   KdTreeOptions options;
   options.height = 6;
   const KdTreeHistogram kd(points, Box::UnitCube(2), 1.0, options, rng);
   const auto box_of = [](const Box& b) -> const Box& { return b; };
-  const std::vector<Box> queries = AdversarialQueries(250, 0x1D2);
-  const std::vector<double> want = release::BatchQueryTree(
-      kd.tree(), kd.counts(), std::span<const Box>(queries), box_of);
+  std::vector<Box> queries = AdversarialQueries(250, 0x1D2);
+  for (std::size_t v = 0; v < kd.tree().size(); v += 3) {
+    queries.push_back(kd.tree().node(static_cast<NodeId>(v)).domain);
+  }
   const release::TreeBatchIndex index(kd.tree(), kd.counts(), box_of);
   const std::vector<double> got = index.Query(queries);
-  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]) << "query " << i;
+    EXPECT_EQ(got[i], kd.Query(queries[i])) << "query " << i;
   }
 }
 
@@ -188,6 +294,17 @@ TEST(TreeBatchIndexParityTest, EmptyIndexAnswersZero) {
   const std::vector<double> got = index.Query(queries);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], 0.0);
+}
+
+TEST(TreeBatchIndexDeathTest, RejectsABoxOfTheWrongDimension) {
+  Rng rng(0xD1);
+  const SpatialHistogram hist = BuildPrivTreeHistogram(
+      TestPoints(500, 0xD0), Box::UnitCube(2), 1.0, {}, rng);
+  const release::TreeBatchIndex index(hist.tree, hist.count, CellBox);
+  const std::vector<Box> narrow = {Box::UnitCube(1)};
+  const std::vector<Box> wide = {Box::UnitCube(3)};
+  EXPECT_DEATH((void)index.Query(narrow), "PRIVTREE_CHECK");
+  EXPECT_DEATH((void)index.Query(wide), "PRIVTREE_CHECK");
 }
 
 TEST(AdaptiveGridParityTest, QueryBatchMatchesReferenceBitwise) {
@@ -211,9 +328,7 @@ TEST(KernelConcurrencyTest, EightThreadsReproduceSerialAnswersBitwise) {
   Rng tree_rng(0xC2);
   const SpatialHistogram tree = BuildPrivTreeHistogram(
       points, Box::UnitCube(2), 1.0, {}, tree_rng);
-  const release::TreeBatchIndex index(
-      tree.tree, tree.count,
-      [](const SpatialCell& c) -> const Box& { return c.box; });
+  const release::TreeBatchIndex index(tree.tree, tree.count, CellBox);
 
   const std::vector<Box> queries = AdversarialQueries(400, 0xC3);
   const std::vector<double> grid_serial = grid.QueryBatch(queries);
