@@ -71,6 +71,24 @@ void BM_PrivTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_PrivTreeBuild)->Arg(10000)->Arg(100000)->Arg(1000000);
 
+/// BM_PrivTreeBuild without the index build: the per-fit cost once a
+/// dataset's index is shared (release::Dataset::morton_index()).
+void BM_PrivTreeFitSharedIndex(benchmark::State& state) {
+  Rng data_rng(4);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const PointSet points = GenerateRoadLike(n, data_rng);
+  const MortonIndex index(points, Box::UnitCube(2));
+  Rng rng(5);
+  for (auto _ : state) {
+    const auto hist =
+        BuildPrivTreeHistogram(index, Box::UnitCube(2), 1.0, {}, rng);
+    benchmark::DoNotOptimize(hist.tree.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_PrivTreeFitSharedIndex)->Arg(100000)->Arg(1000000);
+
 void BM_RangeQuery(benchmark::State& state) {
   Rng data_rng(6);
   const PointSet points = GenerateRoadLike(100000, data_rng);

@@ -58,6 +58,8 @@ class ByteReader {
   bool Str(std::string* out);
 
   std::size_t remaining() const { return data_.size() - pos_; }
+  /// The unread input, from the current position to the end.
+  std::string_view rest() const { return data_.substr(pos_); }
   bool AtEnd() const { return pos_ == data_.size(); }
   bool failed() const { return failed_; }
 

@@ -72,32 +72,30 @@ double ParseCountQuantum(const MethodOptions& o) {
   return o.GetDouble("count_quantum", 0.0);
 }
 
-/// PrivTree (Section 3.4): the paper's method.
-class PrivTreeMethod final : public BuiltinMethod {
+/// Shared body of the spatial tree family (PrivTree, SimpleTree).  A fitted
+/// or loaded histogram is kept as what serving reads: the flattened query
+/// index and the encoded payload.  The pointer-rich DecompTree (one heap
+/// Box per node) is dropped, so a release costs about a fifth of the
+/// memory, and Save is a copy, not an encode.
+class SpatialTreeMethod : public BuiltinMethod {
  public:
-  explicit PrivTreeMethod(const MethodOptions& o)
-      : BuiltinMethod(o),
-        options_(ParsePrivTreeHistogramOptions(o)),
-        count_quantum_(ParseCountQuantum(o)) {}
-
-  PrivTreeMethod(const SynopsisEnvelope& env, SpatialHistogram hist)
-      : BuiltinMethod(env),
-        options_(ParsePrivTreeHistogramOptions(
-            MethodOptions::Parse(env.options_text))),
-        count_quantum_(
-            ParseCountQuantum(MethodOptions::Parse(env.options_text))),
-        hist_(std::move(hist)) {
-    RebuildBatchIndex();
+  /// Fits over the dataset's shared index, so only the first tree fit of a
+  /// dataset builds it.
+  void Fit(const Dataset& data, PrivacyBudget& budget, Rng& rng) final {
+    PRIVTREE_CHECK(!state_.fitted);
+    state_ = {true, data.dim(), budget.SpendRemaining()};
+    SpatialHistogram hist = Build(data.morton_index(), data.domain(),
+                                  state_.epsilon_spent, rng);
+    for (double& c : hist.count) c = QuantizeCount(c, count_quantum_);
+    std::string payload;
+    ByteWriter w(&payload);
+    WriteSpatialTreeBodyCompressed(w, hist.tree, hist.count, count_quantum_);
+    Keep(hist, std::move(payload));
   }
 
   void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
-           Rng& rng) override {
-    PRIVTREE_CHECK(!state_.fitted);
-    state_ = {true, domain.dim(), budget.SpendRemaining()};
-    hist_ = BuildPrivTreeHistogram(points, domain, state_.epsilon_spent,
-                                   options_, rng);
-    for (double& c : hist_.count) c = QuantizeCount(c, count_quantum_);
-    RebuildBatchIndex();
+           Rng& rng) final {
+    Fit(Dataset(points, domain), budget, rng);
   }
 
   double Query(const Box& q) const override {
@@ -110,98 +108,91 @@ class PrivTreeMethod final : public BuiltinMethod {
     return batch_.Query(queries);
   }
 
-  MethodMetadata Metadata() const override {
-    return {"privtree", state_.dim, state_.epsilon_spent, hist_.tree.size(),
-            hist_.tree.empty() ? 0 : hist_.tree.Height()};
-  }
-
   Status Save(std::ostream& out) const override {
     if (!state_.fitted) return NotFitted();
-    std::string payload;
-    ByteWriter w(&payload);
-    WriteSpatialTreeBodyCompressed(w, hist_.tree, hist_.count,
-                                   count_quantum_);
-    return SaveSynopsis(out, payload);
+    return SaveSynopsis(out, payload_);
+  }
+
+ protected:
+  explicit SpatialTreeMethod(const MethodOptions& o)
+      : BuiltinMethod(o), count_quantum_(ParseCountQuantum(o)) {}
+
+  /// Restores a loaded release; `payload` is the body it was decoded from.
+  SpatialTreeMethod(const SynopsisEnvelope& env, const SpatialHistogram& hist,
+                    std::string payload)
+      : BuiltinMethod(env) {
+    Keep(hist, std::move(payload));
+  }
+
+  /// The method's builder, run over an index of `domain` with the whole ε.
+  virtual SpatialHistogram Build(const MortonIndex& index, const Box& domain,
+                                 double epsilon, Rng& rng) const = 0;
+
+  MethodMetadata TreeMetadata(std::string name) const {
+    return {std::move(name), state_.dim, state_.epsilon_spent, nodes_,
+            height_};
   }
 
  private:
-  void RebuildBatchIndex() {
-    batch_ = TreeBatchIndex(hist_.tree, hist_.count,
+  void Keep(const SpatialHistogram& hist, std::string payload) {
+    batch_ = TreeBatchIndex(hist.tree, hist.count,
                             [](const SpatialCell& c) -> const Box& {
                               return c.box;
                             });
+    payload_ = std::move(payload);
+    nodes_ = hist.tree.size();
+    height_ = hist.tree.empty() ? 0 : hist.tree.Height();
+  }
+
+  double count_quantum_ = 0.0;
+  TreeBatchIndex batch_;
+  std::string payload_;  // The encoded tree body Save writes.
+  std::size_t nodes_ = 0;
+  std::int32_t height_ = 0;
+};
+
+/// PrivTree (Section 3.4): the paper's method.
+class PrivTreeMethod final : public SpatialTreeMethod {
+ public:
+  explicit PrivTreeMethod(const MethodOptions& o)
+      : SpatialTreeMethod(o), options_(ParsePrivTreeHistogramOptions(o)) {}
+
+  PrivTreeMethod(const SynopsisEnvelope& env, const SpatialHistogram& hist,
+                 std::string payload)
+      : SpatialTreeMethod(env, hist, std::move(payload)) {}
+
+  MethodMetadata Metadata() const override { return TreeMetadata("privtree"); }
+
+ private:
+  SpatialHistogram Build(const MortonIndex& index, const Box& domain,
+                         double epsilon, Rng& rng) const override {
+    return BuildPrivTreeHistogram(index, domain, epsilon, options_, rng);
   }
 
   PrivTreeHistogramOptions options_;
-  double count_quantum_ = 0.0;
-  SpatialHistogram hist_;
-  TreeBatchIndex batch_;
 };
 
 /// SimpleTree (Algorithm 1): the fixed-height baseline.
-class SimpleTreeMethod final : public BuiltinMethod {
+class SimpleTreeMethod final : public SpatialTreeMethod {
  public:
   explicit SimpleTreeMethod(const MethodOptions& o)
-      : BuiltinMethod(o),
-        options_(ParseSimpleTreeHistogramOptions(o)),
-        count_quantum_(ParseCountQuantum(o)) {}
+      : SpatialTreeMethod(o), options_(ParseSimpleTreeHistogramOptions(o)) {}
 
-  SimpleTreeMethod(const SynopsisEnvelope& env, SpatialHistogram hist)
-      : BuiltinMethod(env),
-        options_(ParseSimpleTreeHistogramOptions(
-            MethodOptions::Parse(env.options_text))),
-        count_quantum_(
-            ParseCountQuantum(MethodOptions::Parse(env.options_text))),
-        hist_(std::move(hist)) {
-    RebuildBatchIndex();
-  }
-
-  void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
-           Rng& rng) override {
-    PRIVTREE_CHECK(!state_.fitted);
-    state_ = {true, domain.dim(), budget.SpendRemaining()};
-    hist_ = BuildSimpleTreeHistogram(points, domain, state_.epsilon_spent,
-                                     options_, rng);
-    for (double& c : hist_.count) c = QuantizeCount(c, count_quantum_);
-    RebuildBatchIndex();
-  }
-
-  double Query(const Box& q) const override {
-    PRIVTREE_CHECK(state_.fitted);
-    return batch_.Query({&q, 1}).front();
-  }
-
-  std::vector<double> QueryBatch(std::span<const Box> queries) const override {
-    PRIVTREE_CHECK(state_.fitted);
-    return batch_.Query(queries);
-  }
+  SimpleTreeMethod(const SynopsisEnvelope& env, const SpatialHistogram& hist,
+                   std::string payload)
+      : SpatialTreeMethod(env, hist, std::move(payload)) {}
 
   MethodMetadata Metadata() const override {
-    return {"simpletree", state_.dim, state_.epsilon_spent,
-            hist_.tree.size(), hist_.tree.empty() ? 0 : hist_.tree.Height()};
-  }
-
-  Status Save(std::ostream& out) const override {
-    if (!state_.fitted) return NotFitted();
-    std::string payload;
-    ByteWriter w(&payload);
-    WriteSpatialTreeBodyCompressed(w, hist_.tree, hist_.count,
-                                   count_quantum_);
-    return SaveSynopsis(out, payload);
+    return TreeMetadata("simpletree");
   }
 
  private:
-  void RebuildBatchIndex() {
-    batch_ = TreeBatchIndex(hist_.tree, hist_.count,
-                            [](const SpatialCell& c) -> const Box& {
-                              return c.box;
-                            });
+  SpatialHistogram Build(const MortonIndex& index, const Box& domain,
+                         double epsilon, Rng& rng) const override {
+    return BuildSimpleTreeHistogram(index, domain, epsilon, options_, rng);
   }
 
   SimpleTreeHistogramOptions options_;
-  double count_quantum_ = 0.0;
-  SpatialHistogram hist_;
-  TreeBatchIndex batch_;
 };
 
 /// Shared adapter for the builders that return a flat GridHistogram (UG,
@@ -552,19 +543,22 @@ MethodFactory FactoryFor() {
 }
 
 /// Loader for the spatial tree family (PrivTree, SimpleTree): the
-/// compressed tree body restores the histogram bit for bit.
+/// compressed tree body restores the histogram bit for bit, and the method
+/// keeps the body's bytes for Save.
 template <typename T>
 MethodLoader SpatialTreeLoaderFor() {
   return [](const SynopsisEnvelope& env,
             ByteReader& payload) -> Result<std::unique_ptr<Method>> {
+    const std::string_view body = payload.rest();
     SpatialHistogram hist;
     if (Status s = ReadSpatialTreeBodyCompressed(payload, env.metadata.dim,
                                                  &hist.tree, &hist.count);
         !s.ok()) {
       return s;
     }
-    return std::unique_ptr<Method>(
-        std::make_unique<T>(env, std::move(hist)));
+    return std::unique_ptr<Method>(std::make_unique<T>(
+        env, hist,
+        std::string(body.substr(0, body.size() - payload.remaining()))));
   };
 }
 

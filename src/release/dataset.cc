@@ -1,9 +1,14 @@
 #include "release/dataset.h"
 
+#include <atomic>
+#include <chrono>
+#include <memory>
 #include <utility>
 
 #include "core/byteio.h"
+#include "core/sync.h"
 #include "dp/check.h"
+#include "obs/metrics.h"
 
 namespace privtree::release {
 
@@ -20,7 +25,32 @@ constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kKindTag[] = {0x53504154'49414C00ULL,   // spatial
                                       0x53455155'454E4345ULL};  // sequence
 
+// Bytes held by the built indexes of every live Dataset.  The gauge is Set
+// from this total rather than Added to, so a Registry::Reset while indexes
+// are alive cannot make a later release wrap it below zero.
+std::atomic<std::uint64_t> g_index_bytes{0};
+
+void AccountIndexBytes(const MortonIndex& index, bool built) {
+  static obs::Gauge& gauge =
+      obs::Registry::Global().GetGauge("spatial.index_bytes");
+  const std::uint64_t bytes = index.keys().capacity() * sizeof(MortonKey);
+  gauge.Set(built ? g_index_bytes.fetch_add(bytes) + bytes
+                  : g_index_bytes.fetch_sub(bytes) - bytes);
+}
+
 }  // namespace
+
+/// The lazily built index every copy of a spatial Dataset shares.  The
+/// gauge counts its keys from the build until the last copy goes away.
+struct Dataset::IndexSlot {
+  ~IndexSlot() {
+    MutexLock lock(mu);
+    if (index != nullptr) AccountIndexBytes(*index, /*built=*/false);
+  }
+
+  Mutex mu;
+  std::unique_ptr<const MortonIndex> index GUARDED_BY(mu);
+};
 
 std::string_view DatasetKindName(DatasetKind kind) {
   return kind == DatasetKind::kSpatial ? "spatial" : "sequence";
@@ -29,7 +59,8 @@ std::string_view DatasetKindName(DatasetKind kind) {
 Dataset::Dataset(const PointSet& points, Box domain)
     : kind_(DatasetKind::kSpatial),
       points_(&points),
-      domain_(std::move(domain)) {
+      domain_(std::move(domain)),
+      index_slot_(std::make_shared<IndexSlot>()) {
   PRIVTREE_CHECK_EQ(points.dim(), domain_.dim());
 }
 
@@ -46,6 +77,27 @@ const PointSet& Dataset::points() const {
 const Box& Dataset::domain() const {
   PRIVTREE_CHECK(is_spatial());
   return domain_;
+}
+
+const MortonIndex& Dataset::morton_index() const {
+  PRIVTREE_CHECK(is_spatial());
+  IndexSlot& slot = *index_slot_;
+  MutexLock lock(slot.mu);
+  if (slot.index == nullptr) {
+    static obs::Counter& builds =
+        obs::Registry::Global().GetCounter("spatial.index_builds");
+    static obs::Histogram& build_us =
+        obs::Registry::Global().GetHistogram("spatial.index_build_us");
+    const auto start = std::chrono::steady_clock::now();
+    slot.index = std::make_unique<const MortonIndex>(*points_, domain_);
+    build_us.Observe(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
+    builds.Inc();
+    AccountIndexBytes(*slot.index, /*built=*/true);
+  }
+  return *slot.index;
 }
 
 const SequenceDataset& Dataset::sequences() const {

@@ -10,7 +10,12 @@
 // A Dataset is a cheap value: it stores a pointer to the caller's data
 // (which must outlive every use, exactly as the previous `const PointSet&`
 // contracts required) plus, for spatial data, a copy of the declared
-// domain box.
+// domain box and a shared slot for the dataset's MortonIndex.  The index is
+// built lazily, on the first morton_index() call (the first tree fit), and
+// every copy of the Dataset shares it, so a tenant, a session or a fit
+// sweep sorts its keys once instead of once per release.  It costs 16 B per
+// point and lives as long as the last copy of the Dataset.  Because the
+// index is cached, the viewed data must not change while it is viewed.
 //
 // Fingerprints are *domain-separated by kind*: the digest mixes a per-kind
 // tag on top of the content words, so a sequence dataset and a spatial
@@ -22,10 +27,12 @@
 #define PRIVTREE_RELEASE_DATASET_H_
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 
 #include "seq/sequence.h"
 #include "spatial/box.h"
+#include "spatial/morton_index.h"
 #include "spatial/point_set.h"
 
 namespace privtree::release {
@@ -57,6 +64,11 @@ class Dataset {
   const PointSet& points() const;
   const Box& domain() const;
 
+  /// The Morton index of (points, domain), shared by every copy of this
+  /// Dataset.  The first call builds it; concurrent first callers wait for
+  /// that one build.  Aborts unless is_spatial().
+  const MortonIndex& morton_index() const;
+
   /// Sequence accessor; aborts unless is_sequence().
   const SequenceDataset& sequences() const;
 
@@ -86,6 +98,9 @@ class Dataset {
   const PointSet* points_ = nullptr;
   Box domain_;  // Meaningful for spatial datasets only.
   const SequenceDataset* sequences_ = nullptr;
+  // Spatial datasets only; shared by every copy (see dataset.cc).
+  struct IndexSlot;
+  std::shared_ptr<IndexSlot> index_slot_;
 };
 
 }  // namespace privtree::release

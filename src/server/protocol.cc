@@ -543,8 +543,14 @@ Status DecodeRegisterDataset(std::string_view payload,
       if (!r.F64(&out->domain_lo[j]) || !r.F64(&out->domain_hi[j])) {
         return Malformed("RegisterDataset");
       }
-      if (!(out->domain_lo[j] <= out->domain_hi[j])) {  // Rejects NaN too.
-        return Status::InvalidArgument("dataset domain with lo > hi");
+      // A Box needs finite bounds, and the Morton-indexed trees a positive,
+      // finite side.
+      const double lo = out->domain_lo[j];
+      const double hi = out->domain_hi[j];
+      if (!(std::isfinite(lo) && std::isfinite(hi) && lo < hi &&
+            std::isfinite(hi - lo))) {
+        return Status::InvalidArgument(
+            "dataset domain needs finite bounds with lo < hi");
       }
     }
     std::uint64_t count = 0;

@@ -99,7 +99,7 @@ void RadixSort(MortonKey* first, MortonKey* last, int shift) {
 }  // namespace
 
 MortonIndex::MortonIndex(const PointSet& points, const Box& root)
-    : dim_(points.dim()) {
+    : dim_(points.dim()), root_(root) {
   PRIVTREE_CHECK_EQ(root.dim(), dim_);
   // Key ranges are stored as uint32 positions (SpatialCell::begin/end).
   PRIVTREE_CHECK_LE(points.size(), std::numeric_limits<std::uint32_t>::max());
@@ -110,7 +110,6 @@ MortonIndex::MortonIndex(const PointSet& points, const Box& root)
   cells_ = std::ldexp(1.0, levels_per_dim_);
   max_coord_ = (std::uint64_t{1} << levels_per_dim_) - 1;
 
-  root_lo_ = root.lo();
   inv_width_.resize(dim_);
   for (std::size_t j = 0; j < dim_; ++j) {
     const double width = root.Width(j);
@@ -152,7 +151,7 @@ void MortonIndex::InterleaveDim(const double* coords, std::size_t n,
                                 MortonKey* keys) const {
   const SpreadTable& spread = kSpread[D];
   const int bytes = (levels_per_dim_ + 7) / 8;
-  const double* root_lo = root_lo_.data();
+  const double* root_lo = root_.lo().data();
   const double* inv_width = inv_width_.data();
   for (std::size_t i = 0; i < n; ++i) {
     const double* point = coords + i * D;

@@ -19,6 +19,14 @@
 // cell's point count is end - begin.  The runs are exact, data-dependent
 // counts that exist only while a tree is being fitted; the builders clear
 // them before returning a release.
+//
+// Memory: the index is the sorted key array alone — 16 B per point, no
+// permutation back to the points (counts never need it).  It depends only
+// on (points, root), so release::Dataset builds one lazily on the first
+// tree fit and shares it with every later fit of the same dataset (see
+// release/dataset.h); the builders' PointSet overloads build a private one
+// per call.  An index is immutable once built and may be read from many
+// threads at once.
 #ifndef PRIVTREE_SPATIAL_MORTON_INDEX_H_
 #define PRIVTREE_SPATIAL_MORTON_INDEX_H_
 
@@ -51,6 +59,8 @@ class MortonIndex {
   static constexpr int kTotalBits = 126;
 
   std::size_t dim() const { return dim_; }
+  /// The root box the keys were discretized in.
+  const Box& root() const { return root_; }
   /// Bits per dimension (L).
   int levels_per_dim() const { return levels_per_dim_; }
   /// Total usable prefix bits (d · L).
@@ -86,7 +96,7 @@ class MortonIndex {
   int max_prefix_bits_;
   double cells_;               // 2^L.
   std::uint64_t max_coord_;    // 2^L - 1.
-  std::vector<double> root_lo_;
+  Box root_;
   std::vector<double> inv_width_;  // 1 / side length per dimension.
   std::vector<MortonKey> keys_;    // Sorted ascending.
 };

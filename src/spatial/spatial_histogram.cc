@@ -58,18 +58,18 @@ void ReleaseLeafCounts(double scale, Rng& rng, SpatialHistogram* hist) {
   ClearKeyRanges(&hist->tree);
 }
 
-SpatialHistogram BuildPrivTreeHistogram(const PointSet& points,
+SpatialHistogram BuildPrivTreeHistogram(const MortonIndex& index,
                                         const Box& domain, double epsilon,
                                         const PrivTreeHistogramOptions& options,
                                         Rng& rng) {
   PRIVTREE_CHECK_GT(epsilon, 0.0);
   PRIVTREE_CHECK_GT(options.tree_budget_fraction, 0.0);
   PRIVTREE_CHECK_LT(options.tree_budget_fraction, 1.0);
+  PRIVTREE_CHECK(index.root() == domain);
   const int dims_per_split =
       options.dims_per_split > 0 ? options.dims_per_split
                                  : static_cast<int>(domain.dim());
 
-  MortonIndex index(points, domain);
   QuadtreePolicy policy(index, domain, dims_per_split);
 
   PrivacyBudget budget(epsilon);
@@ -89,15 +89,23 @@ SpatialHistogram BuildPrivTreeHistogram(const PointSet& points,
   return hist;
 }
 
+SpatialHistogram BuildPrivTreeHistogram(const PointSet& points,
+                                        const Box& domain, double epsilon,
+                                        const PrivTreeHistogramOptions& options,
+                                        Rng& rng) {
+  return BuildPrivTreeHistogram(MortonIndex(points, domain), domain, epsilon,
+                                options, rng);
+}
+
 SpatialHistogram BuildSimpleTreeHistogram(
-    const PointSet& points, const Box& domain, double epsilon,
+    const MortonIndex& index, const Box& domain, double epsilon,
     const SimpleTreeHistogramOptions& options, Rng& rng) {
   PRIVTREE_CHECK_GT(epsilon, 0.0);
+  PRIVTREE_CHECK(index.root() == domain);
   const int dims_per_split =
       options.dims_per_split > 0 ? options.dims_per_split
                                  : static_cast<int>(domain.dim());
 
-  MortonIndex index(points, domain);
   QuadtreePolicy policy(index, domain, dims_per_split);
 
   SimpleTreeParams params =
@@ -113,6 +121,13 @@ SpatialHistogram BuildSimpleTreeHistogram(
   hist.stats.nodes_visited = hist.tree.size();
   hist.stats.height = hist.tree.Height();
   return hist;
+}
+
+SpatialHistogram BuildSimpleTreeHistogram(
+    const PointSet& points, const Box& domain, double epsilon,
+    const SimpleTreeHistogramOptions& options, Rng& rng) {
+  return BuildSimpleTreeHistogram(MortonIndex(points, domain), domain,
+                                  epsilon, options, rng);
 }
 
 }  // namespace privtree

@@ -21,6 +21,7 @@
 #include "core/tree.h"
 #include "dp/rng.h"
 #include "spatial/box.h"
+#include "spatial/morton_index.h"
 #include "spatial/point_set.h"
 #include "spatial/quadtree_policy.h"
 
@@ -58,7 +59,16 @@ struct PrivTreeHistogramOptions {
   std::int32_t max_depth = 512;
 };
 
-/// Builds the paper's ε-differentially private spatial histogram.
+/// Builds the paper's ε-differentially private spatial histogram over the
+/// points of `index`, which must have been built over `domain`.  The index
+/// is only read, so one index can serve many fits (release::Dataset shares
+/// one per dataset).
+SpatialHistogram BuildPrivTreeHistogram(const MortonIndex& index,
+                                        const Box& domain, double epsilon,
+                                        const PrivTreeHistogramOptions& options,
+                                        Rng& rng);
+
+/// As above, building a private index over `points` first.
 SpatialHistogram BuildPrivTreeHistogram(const PointSet& points,
                                         const Box& domain, double epsilon,
                                         const PrivTreeHistogramOptions& options,
@@ -71,7 +81,13 @@ struct SimpleTreeHistogramOptions {
   double theta = 0.0;           ///< Split threshold.
 };
 
-/// Builds the Algorithm 1 baseline histogram (λ = h/ε).
+/// Builds the Algorithm 1 baseline histogram (λ = h/ε) over the points of
+/// `index`, which must have been built over `domain`.
+SpatialHistogram BuildSimpleTreeHistogram(
+    const MortonIndex& index, const Box& domain, double epsilon,
+    const SimpleTreeHistogramOptions& options, Rng& rng);
+
+/// As above, building a private index over `points` first.
 SpatialHistogram BuildSimpleTreeHistogram(
     const PointSet& points, const Box& domain, double epsilon,
     const SimpleTreeHistogramOptions& options, Rng& rng);

@@ -8,18 +8,18 @@
 
 namespace privtree {
 
-SpatialHistogram BuildSvtTreeHistogram(const PointSet& points,
+SpatialHistogram BuildSvtTreeHistogram(const MortonIndex& index,
                                        const Box& domain, double epsilon,
                                        const SvtHistogramOptions& options,
                                        Rng& rng) {
   PRIVTREE_CHECK_GT(epsilon, 0.0);
   PRIVTREE_CHECK_GT(options.tree_budget_fraction, 0.0);
   PRIVTREE_CHECK_LT(options.tree_budget_fraction, 1.0);
+  PRIVTREE_CHECK(index.root() == domain);
   const int dims_per_split =
       options.dims_per_split > 0 ? options.dims_per_split
                                  : static_cast<int>(domain.dim());
 
-  MortonIndex index(points, domain);
   QuadtreePolicy policy(index, domain, dims_per_split);
 
   PrivacyBudget budget(epsilon);
@@ -45,6 +45,14 @@ SpatialHistogram BuildSvtTreeHistogram(const PointSet& points,
 
   ReleaseLeafCounts(1.0 / count_epsilon, rng, &hist);
   return hist;
+}
+
+SpatialHistogram BuildSvtTreeHistogram(const PointSet& points,
+                                       const Box& domain, double epsilon,
+                                       const SvtHistogramOptions& options,
+                                       Rng& rng) {
+  return BuildSvtTreeHistogram(MortonIndex(points, domain), domain, epsilon,
+                               options, rng);
 }
 
 }  // namespace privtree

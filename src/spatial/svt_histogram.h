@@ -7,6 +7,7 @@
 #include <cstdint>
 
 #include "dp/rng.h"
+#include "spatial/morton_index.h"
 #include "spatial/spatial_histogram.h"
 
 namespace privtree {
@@ -21,7 +22,14 @@ struct SvtHistogramOptions {
   int dims_per_split = 0;  ///< 0 = all dimensions (β = 2^d).
 };
 
-/// Builds an ε-DP spatial histogram with improved-SVT split decisions.
+/// Builds an ε-DP spatial histogram with improved-SVT split decisions over
+/// the points of `index`, which must have been built over `domain`.
+SpatialHistogram BuildSvtTreeHistogram(const MortonIndex& index,
+                                       const Box& domain, double epsilon,
+                                       const SvtHistogramOptions& options,
+                                       Rng& rng);
+
+/// As above, building a private index over `points` first.
 SpatialHistogram BuildSvtTreeHistogram(const PointSet& points,
                                        const Box& domain, double epsilon,
                                        const SvtHistogramOptions& options,

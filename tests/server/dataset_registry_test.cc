@@ -3,12 +3,14 @@
 // the same spec never share a synopsis), unknown fingerprints answer
 // NotFound, wire uploads are idempotent by content, and one client
 // exhausting its per-session ε budget fails cleanly while other clients
-// keep serving, and a tenant too wide for a method's index is refused with
-// a Status instead of aborting the server.
+// keep serving, and a tenant too wide for a method's index or an upload
+// with an unusable domain is refused with a Status instead of aborting the
+// server.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -253,6 +255,39 @@ TEST_F(MultiTenantFixture, TenantWiderThanTheMortonIndexIsRefusedCleanly) {
 
   // The server is still up and the same connection keeps serving.
   client.SelectDataset(0);
+  EXPECT_TRUE(client.Fit({"privtree", {}, kEpsilon, kSeed}).ok());
+  EXPECT_TRUE(MustConnect().Stats().ok());
+}
+
+TEST_F(MultiTenantFixture, UnusableDomainIsRefusedNotFatal) {
+  // An infinite bound would abort the server in Box's finiteness check, and
+  // a zero-width side would abort the first tree fit in MortonIndex.  Both
+  // uploads must be refused with InvalidArgument instead.
+  Client client = MustConnect();
+  RegisterDatasetRequest upload;
+  upload.name = "bad-domain";
+  upload.kind = release::DatasetKind::kSpatial;
+  upload.dim = 2;
+  upload.coords = {0.5, 0.5};
+  const std::vector<std::pair<std::vector<double>, std::vector<double>>>
+      domains = {
+          {{0.0, 0.0}, {1.0, std::numeric_limits<double>::infinity()}},
+          {{-std::numeric_limits<double>::infinity(), 0.0}, {1.0, 1.0}},
+          {{0.0, 0.5}, {1.0, 0.5}},  // lo == hi.
+          {{-std::numeric_limits<double>::max(), 0.0},
+           {std::numeric_limits<double>::max(), 1.0}},  // hi - lo = inf.
+      };
+  for (const auto& [lo, hi] : domains) {
+    upload.domain_lo = lo;
+    upload.domain_hi = hi;
+    const auto refused = client.RegisterDataset(upload);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << refused.status().ToString();
+  }
+  EXPECT_EQ(registry_->size(), 2u);
+
+  // The server still answers, on the same connection and on a new one.
   EXPECT_TRUE(client.Fit({"privtree", {}, kEpsilon, kSeed}).ok());
   EXPECT_TRUE(MustConnect().Stats().ok());
 }

@@ -444,7 +444,7 @@ TEST(ProtocolTest, HostileRegisterDatasetIsRejectedNotFatal) {
                 .code(),
             StatusCode::kInvalidArgument);
 
-  // NaN domain bound (NaN fails the lo <= hi check by design).
+  // NaN domain bound.
   bad.domain_lo = {std::numeric_limits<double>::quiet_NaN()};
   bad.domain_hi = {1.0};
   EXPECT_EQ(DecodeRegisterDataset(EncodeRegisterDataset(bad), &decoded)
