@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the library's hot paths: Laplace
-// sampling, Morton counting, PrivTree construction, range queries (the
-// single-query descent and the served batch kernel), PST construction.
+// sampling, Morton counting, PrivTree construction (the library builder
+// and the served Method::Fit), range queries (the single-query descent and
+// the served batch kernel), PST construction.
 // These are engineering benchmarks (not paper artifacts) used to keep the
 // reproduction fast enough for the paper-scale sweeps.
 #include <benchmark/benchmark.h>
@@ -11,9 +12,12 @@
 #include "core/privtree_params.h"
 #include "data/seq_gen.h"
 #include "data/spatial_gen.h"
+#include "dp/budget.h"
 #include "dp/distributions.h"
 #include "dp/rng.h"
 #include "eval/workload.h"
+#include "release/dataset.h"
+#include "release/registry.h"
 #include "release/tree_batch.h"
 #include "seq/pst_privtree.h"
 #include "spatial/morton_index.h"
@@ -88,6 +92,28 @@ void BM_PrivTreeFitSharedIndex(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PrivTreeFitSharedIndex)->Arg(100000)->Arg(1000000);
+
+/// The served fit: registry `privtree` Method::Fit at ε = 1 over a Dataset
+/// whose shared index is already built — the flat fit kernel, the count
+/// release, the payload encode and the query index, and freeing the
+/// release.
+void BM_SpatialTreeMethodFit(benchmark::State& state) {
+  Rng data_rng(4);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const PointSet points = GenerateRoadLike(n, data_rng);
+  const release::Dataset data(points, Box::UnitCube(2));
+  benchmark::DoNotOptimize(data.morton_index().size());
+  Rng rng(5);
+  for (auto _ : state) {
+    auto method = release::GlobalMethodRegistry().Create("privtree");
+    PrivacyBudget budget(1.0);
+    method->Fit(data, budget, rng);
+    benchmark::DoNotOptimize(method->Metadata().synopsis_size);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_SpatialTreeMethodFit)->Arg(100000)->Arg(1000000);
 
 void BM_RangeQuery(benchmark::State& state) {
   Rng data_rng(6);

@@ -13,6 +13,7 @@
 #define PRIVTREE_CORE_PRIVTREE_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -30,6 +31,24 @@ struct DecompositionStats {
   std::size_t nodes_split = 0;    ///< Decisions that resulted in a split.
   std::int32_t height = 0;        ///< Height of the produced tree.
 };
+
+/// Lines 5-8 of Algorithm 2 for one node of depth `depth` and exact score
+/// `score`: the biased score b(v) of Equation (8), one Laplace draw for the
+/// noisy score, and the split test against θ and the structural depth cap
+/// (see privtree_params.h).  The caller adds its own structural,
+/// data-independent CanSplit test.  Every PrivTree decomposition decides
+/// through this one function, so they draw and compare identically.
+inline bool PrivTreeSplits(const PrivTreeParams& params, double score,
+                           std::int32_t depth, Rng& rng) {
+  // Lines 5-6: biased score with the θ−δ floor.
+  const double biased =
+      std::max(params.theta - params.delta,
+               score - static_cast<double>(depth) * params.delta);
+  // Line 7: noisy score.
+  const double noisy = biased + SampleLaplace(rng, params.lambda);
+  // Line 8: split decision.
+  return noisy > params.theta && depth < params.max_depth;
+}
 
 /// Runs Algorithm 2 and returns the decomposition tree (domains only).
 ///
@@ -56,16 +75,7 @@ DecompTree<typename Policy::Domain> RunPrivTree(
     ++local_stats.nodes_visited;
 
     const auto& node = tree.node(v);
-    // Lines 5-6: biased score with the θ−δ floor.
-    const double score = policy.Score(node.domain);
-    const double biased =
-        std::max(params.theta - params.delta,
-                 score - static_cast<double>(node.depth) * params.delta);
-    // Line 7: noisy score.
-    const double noisy = biased + SampleLaplace(rng, params.lambda);
-    // Line 8: split decision.  CanSplit and max_depth are structural,
-    // data-independent constraints (see privtree_params.h).
-    if (noisy > params.theta && node.depth < params.max_depth &&
+    if (PrivTreeSplits(params, policy.Score(node.domain), node.depth, rng) &&
         policy.CanSplit(node.domain)) {
       ++local_stats.nodes_split;
       for (auto& child_domain : policy.Split(node.domain)) {

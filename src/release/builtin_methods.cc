@@ -1,5 +1,6 @@
 #include "release/builtin_methods.h"
 
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -20,11 +21,13 @@
 #include "hist/kdtree.h"
 #include "hist/ug.h"
 #include "hist/wavelet.h"
+#include "obs/metrics.h"
 #include "release/method.h"
 #include "release/options.h"
 #include "release/sequence_methods.h"
 #include "release/serialization.h"
 #include "release/tree_batch.h"
+#include "spatial/flat_fit.h"
 #include "spatial/morton_index.h"
 #include "spatial/serialization.h"
 #include "spatial/spatial_histogram.h"
@@ -73,10 +76,10 @@ double ParseCountQuantum(const MethodOptions& o) {
 }
 
 /// Shared body of the spatial tree family (PrivTree, SimpleTree).  A fitted
-/// or loaded histogram is kept as what serving reads: the flattened query
-/// index and the encoded payload.  The pointer-rich DecompTree (one heap
-/// Box per node) is dropped, so a release costs about a fifth of the
-/// memory, and Save is a copy, not an encode.
+/// or loaded release is kept as what serving reads: the query index and the
+/// encoded payload.  Fit and load both produce the flat layout the index
+/// is built from (spatial/flat_fit.h, ReadTreeBodyCompressed), so no
+/// DecompTree is ever built here, and Save is a copy, not an encode.
 class SpatialTreeMethod : public BuiltinMethod {
  public:
   /// Fits over the dataset's shared index, so only the first tree fit of a
@@ -84,13 +87,21 @@ class SpatialTreeMethod : public BuiltinMethod {
   void Fit(const Dataset& data, PrivacyBudget& budget, Rng& rng) final {
     PRIVTREE_CHECK(!state_.fitted);
     state_ = {true, data.dim(), budget.SpendRemaining()};
-    SpatialHistogram hist = Build(data.morton_index(), data.domain(),
-                                  state_.epsilon_spent, rng);
-    for (double& c : hist.count) c = QuantizeCount(c, count_quantum_);
-    std::string payload;
-    ByteWriter w(&payload);
-    WriteSpatialTreeBodyCompressed(w, hist.tree, hist.count, count_quantum_);
-    Keep(hist, std::move(payload));
+    FlatSpatialTree tree = Build(data.morton_index(), data.domain(),
+                                 state_.epsilon_spent, rng);
+    const auto start = std::chrono::steady_clock::now();
+    for (double& c : tree.count) c = QuantizeCount(c, count_quantum_);
+    ByteWriter w(&payload_);
+    WriteTreeBodyCompressed(w, tree.dim, tree.parent, tree.bounds, tree.count,
+                            count_quantum_);
+    static obs::Histogram& encode_us =
+        obs::Registry::Global().GetHistogram("release.encode_us");
+    encode_us.Observe(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
+    batch_ = TreeBatchIndex(tree.dim, tree.parent, std::move(tree.bounds),
+                            std::move(tree.count));
   }
 
   void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
@@ -117,38 +128,28 @@ class SpatialTreeMethod : public BuiltinMethod {
   explicit SpatialTreeMethod(const MethodOptions& o)
       : BuiltinMethod(o), count_quantum_(ParseCountQuantum(o)) {}
 
-  /// Restores a loaded release; `payload` is the body it was decoded from.
-  SpatialTreeMethod(const SynopsisEnvelope& env, const SpatialHistogram& hist,
+  /// Restores a loaded release; `payload` is the body `batch` was decoded
+  /// from.
+  SpatialTreeMethod(const SynopsisEnvelope& env, TreeBatchIndex batch,
                     std::string payload)
-      : BuiltinMethod(env) {
-    Keep(hist, std::move(payload));
-  }
+      : BuiltinMethod(env),
+        batch_(std::move(batch)),
+        payload_(std::move(payload)) {}
 
-  /// The method's builder, run over an index of `domain` with the whole ε.
-  virtual SpatialHistogram Build(const MortonIndex& index, const Box& domain,
-                                 double epsilon, Rng& rng) const = 0;
+  /// The method's fit kernel, run over an index of `domain` with the whole
+  /// ε.
+  virtual FlatSpatialTree Build(const MortonIndex& index, const Box& domain,
+                                double epsilon, Rng& rng) const = 0;
 
   MethodMetadata TreeMetadata(std::string name) const {
-    return {std::move(name), state_.dim, state_.epsilon_spent, nodes_,
-            height_};
+    return {std::move(name), state_.dim, state_.epsilon_spent, batch_.size(),
+            batch_.height()};
   }
 
  private:
-  void Keep(const SpatialHistogram& hist, std::string payload) {
-    batch_ = TreeBatchIndex(hist.tree, hist.count,
-                            [](const SpatialCell& c) -> const Box& {
-                              return c.box;
-                            });
-    payload_ = std::move(payload);
-    nodes_ = hist.tree.size();
-    height_ = hist.tree.empty() ? 0 : hist.tree.Height();
-  }
-
   double count_quantum_ = 0.0;
   TreeBatchIndex batch_;
   std::string payload_;  // The encoded tree body Save writes.
-  std::size_t nodes_ = 0;
-  std::int32_t height_ = 0;
 };
 
 /// PrivTree (Section 3.4): the paper's method.
@@ -157,16 +158,16 @@ class PrivTreeMethod final : public SpatialTreeMethod {
   explicit PrivTreeMethod(const MethodOptions& o)
       : SpatialTreeMethod(o), options_(ParsePrivTreeHistogramOptions(o)) {}
 
-  PrivTreeMethod(const SynopsisEnvelope& env, const SpatialHistogram& hist,
+  PrivTreeMethod(const SynopsisEnvelope& env, TreeBatchIndex batch,
                  std::string payload)
-      : SpatialTreeMethod(env, hist, std::move(payload)) {}
+      : SpatialTreeMethod(env, std::move(batch), std::move(payload)) {}
 
   MethodMetadata Metadata() const override { return TreeMetadata("privtree"); }
 
  private:
-  SpatialHistogram Build(const MortonIndex& index, const Box& domain,
-                         double epsilon, Rng& rng) const override {
-    return BuildPrivTreeHistogram(index, domain, epsilon, options_, rng);
+  FlatSpatialTree Build(const MortonIndex& index, const Box& domain,
+                        double epsilon, Rng& rng) const override {
+    return FitPrivTreeFlat(index, domain, epsilon, options_, rng);
   }
 
   PrivTreeHistogramOptions options_;
@@ -178,18 +179,18 @@ class SimpleTreeMethod final : public SpatialTreeMethod {
   explicit SimpleTreeMethod(const MethodOptions& o)
       : SpatialTreeMethod(o), options_(ParseSimpleTreeHistogramOptions(o)) {}
 
-  SimpleTreeMethod(const SynopsisEnvelope& env, const SpatialHistogram& hist,
+  SimpleTreeMethod(const SynopsisEnvelope& env, TreeBatchIndex batch,
                    std::string payload)
-      : SpatialTreeMethod(env, hist, std::move(payload)) {}
+      : SpatialTreeMethod(env, std::move(batch), std::move(payload)) {}
 
   MethodMetadata Metadata() const override {
     return TreeMetadata("simpletree");
   }
 
  private:
-  SpatialHistogram Build(const MortonIndex& index, const Box& domain,
-                         double epsilon, Rng& rng) const override {
-    return BuildSimpleTreeHistogram(index, domain, epsilon, options_, rng);
+  FlatSpatialTree Build(const MortonIndex& index, const Box& domain,
+                        double epsilon, Rng& rng) const override {
+    return FitSimpleTreeFlat(index, domain, epsilon, options_, rng);
   }
 
   SimpleTreeHistogramOptions options_;
@@ -543,21 +544,23 @@ MethodFactory FactoryFor() {
 }
 
 /// Loader for the spatial tree family (PrivTree, SimpleTree): the
-/// compressed tree body restores the histogram bit for bit, and the method
-/// keeps the body's bytes for Save.
+/// compressed tree body decodes straight into the query index's flat
+/// layout, bit for bit, and the method keeps the body's bytes for Save.
 template <typename T>
 MethodLoader SpatialTreeLoaderFor() {
   return [](const SynopsisEnvelope& env,
             ByteReader& payload) -> Result<std::unique_ptr<Method>> {
     const std::string_view body = payload.rest();
-    SpatialHistogram hist;
-    if (Status s = ReadSpatialTreeBodyCompressed(payload, env.metadata.dim,
-                                                 &hist.tree, &hist.count);
+    const std::size_t dim = env.metadata.dim;
+    std::vector<NodeId> parents;
+    std::vector<double> bounds, counts;
+    if (Status s =
+            ReadTreeBodyCompressed(payload, dim, &parents, &bounds, &counts);
         !s.ok()) {
       return s;
     }
     return std::unique_ptr<Method>(std::make_unique<T>(
-        env, hist,
+        env, TreeBatchIndex(dim, parents, std::move(bounds), std::move(counts)),
         std::string(body.substr(0, body.size() - payload.remaining()))));
   };
 }

@@ -1,6 +1,7 @@
 #include "release/tree_batch.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace privtree::release {
 
@@ -42,6 +43,53 @@ inline double NodeIntersectionVolume(const double* lo, const double* hi,
 }
 
 }  // namespace
+
+TreeBatchIndex::TreeBatchIndex(std::size_t dim,
+                               std::span<const NodeId> parents,
+                               std::vector<double> bounds,
+                               std::vector<double> counts)
+    : n_(parents.size()) {
+  if (n_ == 0) return;
+  dim_ = dim;
+  bounds_ = std::move(bounds);
+  count_ = std::move(counts);
+  PRIVTREE_CHECK_EQ(bounds_.size(), 2 * dim_ * n_);
+  PRIVTREE_CHECK_EQ(count_.size(), n_);
+  PRIVTREE_CHECK_EQ(parents[0], kInvalidNode);
+  volume_.resize(n_);
+  std::vector<std::int32_t> depth(n_, 0);
+  child_offset_.assign(n_ + 1, 0);
+  for (std::size_t v = 0; v < n_; ++v) {
+    const double* lo = &bounds_[2 * dim_ * v];
+    double volume = 1.0;  // Box::Volume, factor for factor.
+    for (std::size_t j = 0; j < dim_; ++j) volume *= lo[dim_ + j] - lo[j];
+    volume_[v] = volume;
+    if (v == 0) continue;
+    const NodeId p = parents[v];
+    PRIVTREE_CHECK(p >= 0 && static_cast<std::size_t>(p) < v);
+    depth[v] = depth[p] + 1;
+    height_ = std::max(height_, depth[v]);
+    ++child_offset_[p + 1];
+  }
+  std::uint32_t max_children = 0;
+  for (std::size_t v = 0; v < n_; ++v) {
+    max_children = std::max(max_children, child_offset_[v + 1]);
+    child_offset_[v + 1] += child_offset_[v];
+  }
+  // Ascending v keeps each node's children in id order.
+  child_ids_.resize(n_ - 1);
+  std::vector<std::uint32_t> next(child_offset_.begin(),
+                                  child_offset_.end() - 1);
+  for (std::size_t v = 1; v < n_; ++v) {
+    child_ids_[next[parents[v]]++] = static_cast<NodeId>(v);
+  }
+  // A node at depth k is popped with at most k * (max_children - 1)
+  // siblings of its ancestors still pending, and internal nodes sit at
+  // depth < height.
+  stack_bound_ = static_cast<std::size_t>(height_) *
+                     (std::max<std::uint32_t>(max_children, 1) - 1) +
+                 1;
+}
 
 std::vector<double> TreeBatchIndex::Query(std::span<const Box> queries) const {
   std::vector<double> answers(queries.size(), 0.0);

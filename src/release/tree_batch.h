@@ -5,29 +5,37 @@
 // paper); a partial leaf contributes under the uniformity assumption.  A
 // box therefore costs O(cells touched), not O(tree).
 //
-// TreeBatchIndex runs that descent over a copy of the tree flattened once,
-// at fit/load time: node-major bounds (lo[0..d) then hi[0..d) for each
-// node, so one node's box is one contiguous run of doubles), the released
-// counts, precomputed leaf volumes and CSR child lists.  Query reuses one
-// explicit stack, sized from the tree's shape, for every box of the batch.
+// TreeBatchIndex runs that descent over the tree's flat layout:
+// node-major bounds (lo[0..d) then hi[0..d) for each node, so one node's
+// box is one contiguous run of doubles), the released counts, precomputed
+// leaf volumes and CSR child lists.  Query reuses one explicit stack, sized
+// from the tree's shape, for every box of the batch.
+//
+// The spatial tree family (privtree, simpletree) never builds a DecompTree
+// on the served path: its fit kernel (spatial/flat_fit.h) and its payload
+// decoder (spatial/serialization.h) produce the parent links, bounds and
+// counts, and the flat constructor moves them in.  The DecompTree
+// constructor is an adapter onto it, for kdtree and for the library
+// histograms.
 //
 // The descent mirrors SpatialHistogram::Query and KdTreeHistogram::Query
-// step for step: children are pushed in CSR (AddChild) order and the last
-// one is popped first, and the Box predicates run with the same operands in
-// the same order.  The answers are therefore bit-identical to those
-// single-query descents, which stay as the library API and are the
-// kernel's test oracle.
+// step for step: children are pushed in CSR order (id order, which is
+// AddChild order) and the last one is popped first, and the Box predicates
+// run with the same operands in the same order.  The answers are therefore
+// bit-identical to those single-query descents, which stay as the library
+// API and are the kernel's test oracle.
 #ifndef PRIVTREE_RELEASE_TREE_BATCH_H_
 #define PRIVTREE_RELEASE_TREE_BATCH_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/tree.h"
 #include "dp/check.h"
 #include "spatial/box.h"
+#include "spatial/flat_fit.h"
 
 namespace privtree::release {
 
@@ -38,47 +46,31 @@ class TreeBatchIndex {
   /// An empty index answers every query with 0.
   TreeBatchIndex() = default;
 
+  /// Takes a tree in the flat layout: `parents[v]` is node v's parent
+  /// (kInvalidNode for the root, node 0; otherwise a smaller id),
+  /// `bounds` holds each node's lo[0..dim) then hi[0..dim), node-major, and
+  /// `counts` the released count per node.  Bounds and counts are moved
+  /// in; the leaf volumes, CSR child lists (children in id order) and the
+  /// descent's stack bound are derived from them.  No parents means an
+  /// empty index.
+  TreeBatchIndex(std::size_t dim, std::span<const NodeId> parents,
+                 std::vector<double> bounds, std::vector<double> counts);
+
   /// Flattens `tree` (`box_of` maps a node's Domain to its geometric Box)
   /// and takes ownership of the released counts, indexed by node id.
   template <typename Domain, typename BoxOf>
   TreeBatchIndex(const DecompTree<Domain>& tree, std::vector<double> count,
-                 BoxOf&& box_of)
-      : n_(tree.size()), count_(std::move(count)) {
-    if (n_ == 0) {
-      count_.clear();
-      return;
-    }
-    PRIVTREE_CHECK_EQ(count_.size(), n_);
-    dim_ = box_of(tree.node(tree.root()).domain).dim();
-    bounds_.resize(2 * dim_ * n_);
-    volume_.resize(n_);
-    child_offset_.assign(n_ + 1, 0);
-    std::size_t height = 0;
-    std::size_t max_children = 0;
-    for (std::size_t v = 0; v < n_; ++v) {
-      const auto& node = tree.node(static_cast<NodeId>(v));
-      const Box& box = box_of(node.domain);
-      PRIVTREE_CHECK_EQ(box.dim(), dim_);
-      double* lo = &bounds_[2 * dim_ * v];
-      std::copy(box.lo().begin(), box.lo().end(), lo);
-      std::copy(box.hi().begin(), box.hi().end(), lo + dim_);
-      volume_[v] = box.Volume();
-      child_offset_[v + 1] =
-          child_offset_[v] + static_cast<std::uint32_t>(node.children.size());
-      child_ids_.insert(child_ids_.end(), node.children.begin(),
-                        node.children.end());
-      height = std::max(height, static_cast<std::size_t>(node.depth));
-      max_children = std::max(max_children, node.children.size());
-    }
-    // A node at depth k is popped with at most k * (max_children - 1)
-    // siblings of its ancestors still pending, and internal nodes sit at
-    // depth < height.
-    stack_bound_ = height * (std::max<std::size_t>(max_children, 1) - 1) + 1;
+                 BoxOf&& box_of) {
+    FlatSpatialTree flat = FlattenTree(tree, std::move(count), box_of);
+    *this = TreeBatchIndex(flat.dim, flat.parent, std::move(flat.bounds),
+                           std::move(flat.count));
   }
 
   bool empty() const { return n_ == 0; }
   std::size_t size() const { return n_; }
   std::size_t dim() const { return dim_; }
+  /// Largest node depth; 0 for a root-only (or empty) tree.
+  std::int32_t height() const { return height_; }
 
   /// One estimate per query, in input order; bit-for-bit equal to
   /// SpatialHistogram::Query / KdTreeHistogram::Query on the source tree
@@ -91,12 +83,13 @@ class TreeBatchIndex {
 
   std::size_t n_ = 0;
   std::size_t dim_ = 0;
+  std::int32_t height_ = 0;
   std::size_t stack_bound_ = 0;  // Deepest the descent stack can get.
   std::vector<double> bounds_;  // Node-major: lo at [2*dim*v], hi after it.
   std::vector<double> count_;   // Released count per node id.
   std::vector<double> volume_;  // Precomputed Box::Volume per node.
   std::vector<std::uint32_t> child_offset_;  // CSR offsets, n_ + 1 entries.
-  std::vector<NodeId> child_ids_;            // Children in AddChild order.
+  std::vector<NodeId> child_ids_;            // Children in id order.
 };
 
 }  // namespace privtree::release

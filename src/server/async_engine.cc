@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,13 +11,31 @@
 #include "core/fault.h"
 #include "dp/check.h"
 #include "dp/rng.h"
+#include "hist/kdtree.h"
 #include "obs/metrics.h"
 #include "release/options.h"
 #include "release/registry.h"
+#include "spatial/spatial_histogram.h"
 
 namespace privtree::server {
 
 namespace {
+
+// The largest complete tree a served fit of a fixed-height tree method may
+// ask for (2^24 nodes).
+constexpr std::uint64_t kMaxCompleteTreeNodes = std::uint64_t{1} << 24;
+
+/// Nodes of the complete tree with `levels` levels and fanout `fanout`,
+/// Σ_{k<levels} fanout^k; stops counting once past kMaxCompleteTreeNodes.
+std::uint64_t CompleteTreeNodes(std::uint64_t fanout, std::int64_t levels) {
+  std::uint64_t nodes = 0;
+  std::uint64_t level = 1;
+  for (std::int64_t k = 0; k < levels && nodes <= kMaxCompleteTreeNodes;
+       ++k, level *= fanout) {
+    nodes += level;
+  }
+  return nodes;
+}
 
 // Registry handles resolved once per process; recording through them is
 // lock-free.  Every engine shares these (the names are per-process, like
@@ -211,6 +230,26 @@ Status AsyncEngine::ValidateSpec(const FitSpec& spec) const {
     return Status::InvalidArgument(
         "dims_per_split exceeds the serving dim (" +
         std::to_string(data_.dim()) + ")");
+  }
+  // The fixed-height trees: their complete tree bounds what one fit can
+  // allocate.  SimpleTree splits every node whose noisy count clears θ
+  // (empty ones about half the time), so it grows about ×β per level of
+  // `height`; kdtree always builds its complete tree.
+  std::uint64_t complete = 0;
+  if (spec.method == "simpletree") {
+    const std::int64_t dims = spec.options.GetInt("dims_per_split", 0);
+    complete = CompleteTreeNodes(
+        std::uint64_t{1} << (dims > 0 ? dims
+                                      : static_cast<std::int64_t>(data_.dim())),
+        spec.options.GetInt("height", SimpleTreeHistogramOptions{}.height));
+  } else if (spec.method == "kdtree") {
+    complete = CompleteTreeNodes(
+        2, spec.options.GetInt("height", KdTreeOptions{}.height) + 1);
+  }
+  if (complete > kMaxCompleteTreeNodes) {
+    return Status::InvalidArgument(
+        "method \"" + spec.method + "\": height allows a tree of more than " +
+        std::to_string(kMaxCompleteTreeNodes) + " nodes");
   }
   return Status::OK();
 }

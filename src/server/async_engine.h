@@ -133,7 +133,10 @@ class AsyncEngine {
   /// kind that does not match the served dataset, wrong dimensionality,
   /// non-positive ε, unknown option key or out-of-range value (the
   /// registry's OptionKey ranges cover the sequence keys too, so a hostile
-  /// socket client never reaches a fitter's aborting contract check).
+  /// socket client never reaches a fitter's aborting contract check), or a
+  /// `simpletree`/`kdtree` height whose complete tree exceeds 2^24 nodes
+  /// (Σ_{k<h} β^k with β = 2^dims_per_split; kdtree: β = 2 over h+1
+  /// levels), so one request cannot exhaust the server's memory.
   Status ValidateSpec(const FitSpec& spec) const;
 
   StatsSnapshot Stats() const;

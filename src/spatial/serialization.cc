@@ -1,11 +1,14 @@
 #include "spatial/serialization.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <utility>
 #include <vector>
 
 #include "core/codec.h"
+#include "dp/check.h"
+#include "spatial/flat_fit.h"
 
 namespace privtree {
 
@@ -51,7 +54,7 @@ constexpr std::uint32_t kCountsQuantized = 1;
 
 /// Appends the counts section: quantized (group-varint multiples) when
 /// `quantum` reproduces every count bitwise, raw doubles otherwise.
-void WriteCountsSection(ByteWriter& out, const std::vector<double>& counts,
+void WriteCountsSection(ByteWriter& out, std::span<const double> counts,
                         double quantum) {
   if (quantum > 0.0 && std::isfinite(quantum)) {
     std::vector<std::uint64_t> multiples;
@@ -118,22 +121,24 @@ Status ReadCountsSection(ByteReader& in, std::uint64_t n,
   return Status::OK();
 }
 
-template <typename Domain, typename BoxOf>
-void WriteTreeBodyCompressedImpl(ByteWriter& out,
-                                 const DecompTree<Domain>& tree,
-                                 const std::vector<double>& counts,
-                                 double quantum, BoxOf box_of) {
-  const std::size_t n = tree.size();
-  out.U64(n);
-  std::vector<std::int32_t> parents(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    parents[i] = tree.node(static_cast<NodeId>(i)).parent;
-  }
-  out.Str(PackDeltaI32(parents));
+}  // namespace
 
-  const Box& root = box_of(tree.node(0).domain);
-  WriteBox(out, root);
-  const std::size_t dim = root.dim();
+void WriteTreeBodyCompressed(ByteWriter& out, std::size_t dim,
+                             std::span<const NodeId> parents,
+                             std::span<const double> bounds,
+                             std::span<const double> counts,
+                             double count_quantum) {
+  const std::size_t n = parents.size();
+  const std::size_t stride = 2 * dim;
+  PRIVTREE_CHECK_GT(n, 0u);
+  PRIVTREE_CHECK_EQ(bounds.size(), stride * n);
+  PRIVTREE_CHECK_EQ(counts.size(), n);
+  out.U64(n);
+  out.Str(PackDeltaI32(parents));
+  for (std::size_t j = 0; j < dim; ++j) {  // The root box, as WriteBox.
+    out.F64(bounds[j]);
+    out.F64(bounds[dim + j]);
+  }
 
   std::string codes;
   BitWriter bits(&codes);
@@ -149,15 +154,17 @@ void WriteTreeBodyCompressedImpl(ByteWriter& out,
     }
   };
   for (std::size_t i = 1; i < n; ++i) {
-    const Box& box = box_of(tree.node(static_cast<NodeId>(i)).domain);
-    const Box& parent = box_of(tree.node(parents[i]).domain);
+    const double* lo = bounds.data() + stride * i;
+    const double* hi = lo + dim;
+    const double* parent_lo = bounds.data() + stride * parents[i];
+    const double* parent_hi = parent_lo + dim;
     for (std::size_t j = 0; j < dim; ++j) {
       // The midpoint expression matches Box::BisectDim bit for bit, so
       // bisection trees (all of PrivTree/SimpleTree, the kd-tree's
       // non-split dims) need no explicit bounds at all.
-      const double mid = 0.5 * (parent.lo(j) + parent.hi(j));
-      encode_bound(box.lo(j), parent.lo(j), mid);
-      encode_bound(box.hi(j), parent.hi(j), mid);
+      const double mid = 0.5 * (parent_lo[j] + parent_hi[j]);
+      encode_bound(lo[j], parent_lo[j], mid);
+      encode_bound(hi[j], parent_hi[j], mid);
     }
   }
   bits.Finish();
@@ -165,14 +172,13 @@ void WriteTreeBodyCompressedImpl(ByteWriter& out,
   out.U64(explicit_bounds.size());
   out.F64Span(explicit_bounds);
 
-  WriteCountsSection(out, counts, quantum);
+  WriteCountsSection(out, counts, count_quantum);
 }
 
-template <typename Domain, typename MakeDomain>
-Status ReadTreeBodyCompressedImpl(ByteReader& in, std::size_t dim,
-                                  DecompTree<Domain>* tree,
-                                  std::vector<double>* counts,
-                                  MakeDomain make_domain) {
+Status ReadTreeBodyCompressed(ByteReader& in, std::size_t dim,
+                              std::vector<NodeId>* parents,
+                              std::vector<double>* bounds,
+                              std::vector<double>* counts) {
   std::uint64_t nodes = 0;
   if (!in.U64(&nodes) || nodes == 0) {
     return Status::InvalidArgument("tree body: bad node count");
@@ -187,15 +193,14 @@ Status ReadTreeBodyCompressedImpl(ByteReader& in, std::size_t dim,
   if (!in.Str(&packed_parents)) {
     return Status::InvalidArgument("tree body: truncated parent links");
   }
-  std::vector<std::int32_t> parents;
-  if (!UnpackDeltaI32(packed_parents, nodes, &parents)) {
+  if (!UnpackDeltaI32(packed_parents, nodes, parents)) {
     return Status::InvalidArgument("tree body: bad parent links");
   }
-  if (parents[0] != kInvalidNode) {
+  if ((*parents)[0] != kInvalidNode) {
     return Status::InvalidArgument("tree body: root must have parent -1");
   }
   for (std::uint64_t i = 1; i < nodes; ++i) {
-    if (parents[i] < 0 || static_cast<std::uint64_t>(parents[i]) >= i) {
+    if ((*parents)[i] < 0 || static_cast<std::uint64_t>((*parents)[i]) >= i) {
       return Status::InvalidArgument("tree body: bad parent at node " +
                                      std::to_string(i));
     }
@@ -229,17 +234,22 @@ Status ReadTreeBodyCompressedImpl(ByteReader& in, std::size_t dim,
     return Status::InvalidArgument("tree body: truncated explicit bounds");
   }
 
-  std::vector<Box> boxes(nodes);
-  boxes[0] = std::move(root_box);
+  const std::size_t stride = 2 * dim;
+  bounds->assign(stride * nodes, 0.0);
+  std::copy(root_box.lo().begin(), root_box.lo().end(), bounds->begin());
+  std::copy(root_box.hi().begin(), root_box.hi().end(),
+            bounds->begin() + dim);
   BitReader bits(codes);
   std::size_t next_explicit = 0;
-  std::vector<double> lo(dim), hi(dim);
   for (std::uint64_t i = 1; i < nodes; ++i) {
-    const Box& parent = boxes[static_cast<std::size_t>(parents[i])];
+    double* lo = bounds->data() + stride * i;
+    double* hi = lo + dim;
+    const double* parent_lo = bounds->data() + stride * (*parents)[i];
+    const double* parent_hi = parent_lo + dim;
     for (std::size_t j = 0; j < dim; ++j) {
-      const double mid = 0.5 * (parent.lo(j) + parent.hi(j));
+      const double mid = 0.5 * (parent_lo[j] + parent_hi[j]);
       double* const bound[2] = {&lo[j], &hi[j]};
-      const double inherited[2] = {parent.lo(j), parent.hi(j)};
+      const double inherited[2] = {parent_lo[j], parent_hi[j]};
       for (int side = 0; side < 2; ++side) {
         std::uint32_t code = 0;
         if (!bits.Get(2, &code)) {
@@ -263,65 +273,61 @@ Status ReadTreeBodyCompressedImpl(ByteReader& in, std::size_t dim,
             return Status::InvalidArgument("tree body: bad bound code");
         }
       }
-      // Box's constructor aborts on invalid bounds; a corrupt or crafted
-      // file must fail with a Status instead.
+      // Every decoded box must be one Box's constructor would accept; a
+      // corrupt or crafted file fails with a Status instead.
       if (!std::isfinite(lo[j]) || !std::isfinite(hi[j]) ||
           !(lo[j] <= hi[j])) {
         return Status::InvalidArgument("tree body: bad bounds at node " +
                                        std::to_string(i));
       }
     }
-    boxes[i] = Box(lo, hi);
   }
   if (next_explicit != explicit_bounds.size()) {
     return Status::InvalidArgument("tree body: unused explicit bounds");
   }
 
-  if (Status s = ReadCountsSection(in, nodes, counts); !s.ok()) return s;
-
-  for (std::uint64_t i = 0; i < nodes; ++i) {
-    if (i == 0) {
-      tree->AddRoot(make_domain(std::move(boxes[i])));
-    } else {
-      tree->AddChild(parents[i], make_domain(std::move(boxes[i])));
-    }
-  }
-  return Status::OK();
+  return ReadCountsSection(in, nodes, counts);
 }
-
-}  // namespace
 
 void WriteSpatialTreeBodyCompressed(ByteWriter& out,
                                     const DecompTree<SpatialCell>& tree,
                                     const std::vector<double>& counts,
                                     double count_quantum) {
-  WriteTreeBodyCompressedImpl(
-      out, tree, counts, count_quantum,
-      [](const SpatialCell& c) -> const Box& { return c.box; });
-}
-
-Status ReadSpatialTreeBodyCompressed(ByteReader& in, std::size_t dim,
-                                     DecompTree<SpatialCell>* tree,
-                                     std::vector<double>* counts) {
-  return ReadTreeBodyCompressedImpl(in, dim, tree, counts, [](Box box) {
-    SpatialCell cell;
-    cell.box = std::move(box);
-    return cell;
-  });
+  const FlatSpatialTree flat = FlattenTree(
+      tree, counts, [](const SpatialCell& c) -> const Box& { return c.box; });
+  WriteTreeBodyCompressed(out, flat.dim, flat.parent, flat.bounds, flat.count,
+                          count_quantum);
 }
 
 void WriteBoxTreeBodyCompressed(ByteWriter& out, const DecompTree<Box>& tree,
                                 const std::vector<double>& counts,
                                 double count_quantum) {
-  WriteTreeBodyCompressedImpl(out, tree, counts, count_quantum,
-                              [](const Box& b) -> const Box& { return b; });
+  const FlatSpatialTree flat =
+      FlattenTree(tree, counts, [](const Box& b) -> const Box& { return b; });
+  WriteTreeBodyCompressed(out, flat.dim, flat.parent, flat.bounds, flat.count,
+                          count_quantum);
 }
 
 Status ReadBoxTreeBodyCompressed(ByteReader& in, std::size_t dim,
                                  DecompTree<Box>* tree,
                                  std::vector<double>* counts) {
-  return ReadTreeBodyCompressedImpl(in, dim, tree, counts,
-                                    [](Box box) { return box; });
+  std::vector<NodeId> parents;
+  std::vector<double> bounds;
+  if (Status s = ReadTreeBodyCompressed(in, dim, &parents, &bounds, counts);
+      !s.ok()) {
+    return s;
+  }
+  for (std::size_t v = 0; v < parents.size(); ++v) {
+    const double* lo = bounds.data() + 2 * dim * v;
+    Box box(std::vector<double>(lo, lo + dim),
+            std::vector<double>(lo + dim, lo + 2 * dim));
+    if (v == 0) {
+      tree->AddRoot(std::move(box));
+    } else {
+      tree->AddChild(parents[v], std::move(box));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace privtree

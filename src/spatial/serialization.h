@@ -8,6 +8,7 @@
 #ifndef PRIVTREE_SPATIAL_SERIALIZATION_H_
 #define PRIVTREE_SPATIAL_SERIALIZATION_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,15 +50,31 @@ bool ReadBox(ByteReader& in, std::size_t dim, Box* out, std::string* error);
 ///            `count_quantum` knob quantized them at Fit), else mode 0
 ///
 /// Reading validates everything (parents, code stream size, bound
-/// finiteness and ordering, count sections) before constructing boxes, and
-/// returns counts bit-for-bit equal to what was written.
+/// finiteness and ordering, count sections) and returns bounds and counts
+/// bit-for-bit equal to what was written.
+///
+/// The codec works on the flat layout of release::TreeBatchIndex:
+/// `parents[v]` (kInvalidNode for the root, node 0; otherwise a smaller
+/// id), node-major `bounds` (lo[0..dim) then hi[0..dim) per node) and one
+/// count per node.  Writing requires at least one node.  On an error the
+/// read leaves its outputs in an unspecified state.
+void WriteTreeBodyCompressed(ByteWriter& out, std::size_t dim,
+                             std::span<const NodeId> parents,
+                             std::span<const double> bounds,
+                             std::span<const double> counts,
+                             double count_quantum = 0.0);
+Status ReadTreeBodyCompressed(ByteReader& in, std::size_t dim,
+                              std::vector<NodeId>* parents,
+                              std::vector<double>* bounds,
+                              std::vector<double>* counts);
+
+/// Adapters for the DecompTree-based histograms: the library's
+/// SpatialHistogram (the tests' reference encoder) and kdtree's release.
+/// The same bytes as the flat codec on the flattened tree.
 void WriteSpatialTreeBodyCompressed(ByteWriter& out,
                                     const DecompTree<SpatialCell>& tree,
                                     const std::vector<double>& counts,
                                     double count_quantum = 0.0);
-Status ReadSpatialTreeBodyCompressed(ByteReader& in, std::size_t dim,
-                                     DecompTree<SpatialCell>* tree,
-                                     std::vector<double>* counts);
 void WriteBoxTreeBodyCompressed(ByteWriter& out, const DecompTree<Box>& tree,
                                 const std::vector<double>& counts,
                                 double count_quantum = 0.0);

@@ -119,6 +119,7 @@ SpatialHistogram BuildSimpleTreeHistogram(
   hist.count.resize(hist.tree.size(), 0.0);
   ClearKeyRanges(&hist.tree);
   hist.stats.nodes_visited = hist.tree.size();
+  hist.stats.nodes_split = hist.tree.size() - hist.tree.LeafCount();
   hist.stats.height = hist.tree.Height();
   return hist;
 }

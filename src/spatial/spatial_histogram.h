@@ -11,6 +11,14 @@
 //   * BuildSimpleTreeHistogram — the Algorithm 1 baseline: noisy counts of
 //     scale h/ε are released for every node during construction and reused
 //     as the query counts.
+//
+// These builders are the library API (examples, benches, the perfbench
+// per-layer walk) and run the generic RunPrivTree / RunSimpleTree over a
+// QuadtreePolicy into a DecompTree.  The served methods `privtree` and
+// `simpletree` fit through FitPrivTreeFlat / FitSimpleTreeFlat
+// (spatial/flat_fit.h) instead, which write the serving layout directly
+// and release bit-identical trees and counts; these builders are that
+// kernel's test oracle.
 #ifndef PRIVTREE_SPATIAL_SPATIAL_HISTOGRAM_H_
 #define PRIVTREE_SPATIAL_SPATIAL_HISTOGRAM_H_
 

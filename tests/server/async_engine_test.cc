@@ -363,5 +363,35 @@ TEST(AsyncEngineTest, InvalidSpecsResolveImmediately) {
   EXPECT_EQ(engine.Stats().admission.admitted, 0u);
 }
 
+TEST(AsyncEngineTest, FixedHeightTreesAreBoundedByTheirCompleteTree) {
+  const PointSet points = TestPoints(100);
+  serve::ThreadPool pool(1);
+  serve::SynopsisCache cache(4);
+  AsyncEngine engine(points, Box::UnitCube(2), pool, cache);
+  const auto validate = [&](const std::string& method,
+                            const std::string& options) {
+    return engine
+        .ValidateSpec({method, release::MethodOptions::Parse(options),
+                       kEpsilon, kSeed})
+        .code();
+  };
+  // A complete tree of at most 2^24 nodes is allowed, one level more is
+  // not.  kdtree: 2^(h+1) − 1 nodes.
+  EXPECT_EQ(validate("kdtree", "height=23"), StatusCode::kOk);
+  EXPECT_EQ(validate("kdtree", "height=24"), StatusCode::kInvalidArgument);
+  EXPECT_EQ(validate("kdtree", "height=64"), StatusCode::kInvalidArgument);
+  // simpletree on 2-d data, β = 4 by default: (4^h − 1) / 3 nodes.
+  EXPECT_EQ(validate("simpletree", "height=12"), StatusCode::kOk);
+  EXPECT_EQ(validate("simpletree", "height=13"), StatusCode::kInvalidArgument);
+  // β = 2 with one dimension per split: 2^h − 1 nodes.
+  EXPECT_EQ(validate("simpletree", "dims_per_split=1,height=24"),
+            StatusCode::kOk);
+  EXPECT_EQ(validate("simpletree", "dims_per_split=1,height=25"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(validate("simpletree", "height=64"), StatusCode::kInvalidArgument);
+  // privtree's size is set by ε and the data, not by a height.
+  EXPECT_EQ(validate("privtree", "max_depth=4096"), StatusCode::kOk);
+}
+
 }  // namespace
 }  // namespace privtree::server

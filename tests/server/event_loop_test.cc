@@ -4,8 +4,9 @@
 // Warm/Stats work remotely, a half-open slow-loris peer is reaped by the
 // idle timeout without disturbing other clients (the regression this file
 // pins), malformed payloads answer ErrorReply and keep the connection while
-// malformed length prefixes close it, server-side errors come back as
-// statuses, and Shutdown drains the loop gracefully.
+// malformed length prefixes close it, server-side errors (oversized tree
+// specs among them) come back as statuses, and Shutdown drains the loop
+// gracefully.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -243,6 +244,31 @@ TEST_F(EventLoopFixture, ServerSideErrorsComeBackAsStatuses) {
   // The connection survives rejected requests.
   const auto fitted = client.Fit({"ug", {}, kEpsilon, kSeed});
   EXPECT_TRUE(fitted.ok());
+}
+
+TEST_F(EventLoopFixture, OversizedTreeSpecsAreRefused) {
+  // One Fit must not be able to exhaust the server's memory: a simpletree
+  // of height 24 (complete tree ~2.8e13 nodes at β = 4) or a kdtree of
+  // height 40 (2^41 − 1 nodes) is refused before any fit starts.
+  Client client = MustConnect();
+  const auto simple = client.Fit(
+      {"simpletree", release::MethodOptions::Parse("height=24"), kEpsilon,
+       kSeed});
+  ASSERT_FALSE(simple.ok());
+  EXPECT_EQ(simple.status().code(), StatusCode::kInvalidArgument);
+  const auto kd = client.Fit(
+      {"kdtree", release::MethodOptions::Parse("height=40"), kEpsilon, kSeed});
+  ASSERT_FALSE(kd.ok());
+  EXPECT_EQ(kd.status().code(), StatusCode::kInvalidArgument);
+
+  // The server answers the next request on the same connection.
+  const std::vector<Box> queries = TestQueries(5);
+  const auto answers = client.QueryBatch(
+      {"simpletree", release::MethodOptions::Parse("height=6"), kEpsilon,
+       kSeed},
+      queries);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers.value().size(), queries.size());
 }
 
 TEST_F(EventLoopFixture, MixedDimBatchesAreRefusedClientSide) {

@@ -19,9 +19,9 @@ TEST(SpatialTreeBodyTest, ForwardParentReferenceIsRejected) {
   w.Str(PackDeltaI32(std::vector<std::int32_t>{-1, 5}));
   WriteBox(w, Box::UnitCube(1));
   ByteReader r(bytes);
-  DecompTree<SpatialCell> tree;
-  std::vector<double> counts;
-  const Status s = ReadSpatialTreeBodyCompressed(r, 1, &tree, &counts);
+  std::vector<NodeId> parents;
+  std::vector<double> bounds, counts;
+  const Status s = ReadTreeBodyCompressed(r, 1, &parents, &bounds, &counts);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(s.message().find("bad parent"), std::string::npos) << s.ToString();
 }
