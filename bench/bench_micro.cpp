@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the library's hot paths: Laplace
 // sampling, Morton counting, PrivTree construction (the library builder
 // and the served Method::Fit), range queries (the single-query descent and
-// the served batch kernel), PST construction.
+// the served batch kernel, and one in-process engine request around it),
+// PST construction.
 // These are engineering benchmarks (not paper artifacts) used to keep the
 // reproduction fast enough for the paper-scale sweeps.
 #include <benchmark/benchmark.h>
@@ -20,6 +21,9 @@
 #include "release/registry.h"
 #include "release/tree_batch.h"
 #include "seq/pst_privtree.h"
+#include "serve/synopsis_cache.h"
+#include "serve/thread_pool.h"
+#include "server/async_engine.h"
 #include "spatial/morton_index.h"
 #include "spatial/spatial_histogram.h"
 
@@ -153,6 +157,32 @@ void BM_TreeQueryBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TreeQueryBatch)->Arg(1)->Arg(64)->Arg(8192);
+
+/// One in-process SubmitQueryBatch(...).Get() of `range(0)` medium boxes on
+/// a cached `ug` release.  One box is answered on the calling thread; 64
+/// boxes hop to the pool and back, so the hop shows beside the inline path.
+void BM_EngineResidentQuery(benchmark::State& state) {
+  Rng data_rng(9);
+  const PointSet points = GenerateRoadLike(100000, data_rng);
+  serve::ThreadPool pool(2);
+  serve::SynopsisCache cache(4);
+  server::AsyncEngine engine(points, Box::UnitCube(2), pool, cache);
+  const server::FitSpec spec{"ug", {}, 1.0, 9};
+  if (!engine.SubmitFit(spec).Get().status.ok()) {
+    state.SkipWithError("ug fit failed");
+    return;
+  }
+  Rng rng(10);
+  const auto queries = GenerateRangeQueries(
+      Box::UnitCube(2), static_cast<std::size_t>(state.range(0)),
+      kMediumQueries, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.SubmitQueryBatch(spec, queries).Get().answers.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EngineResidentQuery)->Arg(1)->Arg(64);
 
 void BM_PrivatePstBuild(benchmark::State& state) {
   Rng data_rng(8);

@@ -172,7 +172,11 @@ class SynopsisCache {
       EXCLUDES(mu_);
 
   /// The cached synopsis, or null without side effects beyond LRU touch.
-  std::shared_ptr<const release::Method> Lookup(const SynopsisKey& key)
+  /// With `count_hit`, a found entry counts as a hit exactly as GetOrFit's
+  /// would (a miss counts nothing): for a caller that serves the returned
+  /// synopsis in place of calling GetOrFit.
+  std::shared_ptr<const release::Method> Lookup(const SynopsisKey& key,
+                                                bool count_hit = false)
       EXCLUDES(mu_);
 
   std::size_t size() const;

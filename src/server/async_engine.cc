@@ -58,6 +58,18 @@ obs::Histogram& KernelHistogram() {
   return h;
 }
 
+obs::Histogram& AdmissionHistogram() {
+  static obs::Histogram& h =
+      obs::Registry::Global().GetHistogram("engine.admission_us");
+  return h;
+}
+
+obs::Counter& InlineRequestsCounter() {
+  static obs::Counter& c =
+      obs::Registry::Global().GetCounter("engine.inline_requests");
+  return c;
+}
+
 obs::Counter& WatchdogFiredCounter() {
   static obs::Counter& c =
       obs::Registry::Global().GetCounter("engine.watchdog_fired");
@@ -69,6 +81,24 @@ std::uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
   const auto us =
       std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count();
   return us < 0 ? 0 : static_cast<std::uint64_t>(us);
+}
+
+/// Feeds one admission decision, timed from `start`, to the histogram and
+/// to `trace` when non-null.
+void RecordAdmission(const obs::TracePtr& trace,
+                     std::chrono::steady_clock::time_point start) {
+  const std::uint64_t us = MicrosSince(start);
+  AdmissionHistogram().Observe(us);
+  if (trace) trace->Record(obs::Span::kAdmission, us);
+}
+
+/// A future that is already resolved with `value`.
+template <typename T>
+Future<T> Resolved(T value) {
+  Promise<T> promise;
+  Future<T> future = promise.future();
+  promise.Set(std::move(value));
+  return future;
 }
 
 /// A Promise whose Set is idempotent: the watchdog and the (possibly still
@@ -257,9 +287,7 @@ Status AsyncEngine::ValidateSpec(const FitSpec& spec) const {
 Status AsyncEngine::Enqueue(QueuedRequest& request, bool needs_fit,
                             const obs::TracePtr& trace) {
   const auto start = std::chrono::steady_clock::now();
-  const auto stamp = [&] {
-    if (trace) trace->Record(obs::Span::kAdmission, MicrosSince(start));
-  };
+  const auto stamp = [&] { RecordAdmission(trace, start); };
   if (needs_fit) {
     if (Status admitted = admission_.AdmitFitLoad(); !admitted.ok()) {
       stamp();
@@ -349,173 +377,168 @@ Future<FitResponse> AsyncEngine::SubmitFit(
   return future;
 }
 
+template <typename Query>
+struct AsyncEngine::BatchJob {
+  FitSpec spec;
+  serve::SynopsisKey key;
+  /// The key was not cached at admission: the request counts as fit load.
+  bool needs_fit = false;
+  std::vector<Query> queries;
+  obs::TracePtr trace;
+};
+
 Future<QueryBatchResponse> AsyncEngine::SubmitQueryBatch(
     const FitSpec& spec, std::vector<Box> queries,
     DeadlineClock::time_point deadline, obs::TracePtr trace) {
-  Promise<QueryBatchResponse> promise;
-  Future<QueryBatchResponse> future = promise.future();
   if (Status valid = ValidateSpec(spec); !valid.ok()) {
-    promise.Set({std::move(valid), {}, false});
-    return future;
+    return Resolved<QueryBatchResponse>({std::move(valid), {}, false});
   }
   // ValidateSpec already rejects spatial methods on a sequence engine, but
   // box queries carry their own shape; keep the message direct.
   if (!data_.is_spatial()) {
-    promise.Set({Status::InvalidArgument(
-                     "box query batches need a spatial served dataset; this "
-                     "server serves sequence data (use SeqQueryBatch)"),
-                 {},
-                 false});
-    return future;
+    return Resolved<QueryBatchResponse>(
+        {Status::InvalidArgument(
+             "box query batches need a spatial served dataset; this "
+             "server serves sequence data (use SeqQueryBatch)"),
+         {},
+         false});
   }
   for (const Box& q : queries) {
     if (q.dim() != data_.dim()) {
-      promise.Set({Status::InvalidArgument(
-                       "query box dim " + std::to_string(q.dim()) +
-                       " != serving dim " + std::to_string(data_.dim())),
-                   {},
-                   false});
-      return future;
+      return Resolved<QueryBatchResponse>(
+          {Status::InvalidArgument("query box dim " + std::to_string(q.dim()) +
+                                   " != serving dim " +
+                                   std::to_string(data_.dim())),
+           {},
+           false});
     }
   }
-  const serve::SynopsisKey key = KeyFor(spec);
-  // Queries against a cached synopsis bypass the fit-load gate (they cost
-  // no fit); only a query that must fit first counts as fit load.
-  const bool needs_fit = cache_.Lookup(key) == nullptr;
-  if (needs_fit) admission_.BeginFit(key);
-  auto shared =
-      std::make_shared<SettleOnce<QueryBatchResponse>>(std::move(promise));
-  auto boxes = std::make_shared<std::vector<Box>>(std::move(queries));
-  QueuedRequest request;
-  request.deadline = deadline;
-  request.expire = [this, shared, key, needs_fit](Status status) {
-    if (needs_fit) admission_.EndFit(key);
-    shared->Set({std::move(status), {}, false});
-  };
-  const auto submitted = std::chrono::steady_clock::now();
-  request.run = [this, shared, spec, key, needs_fit, boxes, deadline, trace,
-                 submitted] {
-    const std::uint64_t wait_us = MicrosSince(submitted);
-    QueueWaitHistogram().Observe(wait_us);
-    if (trace) trace->Record(obs::Span::kQueueWait, wait_us);
-    const std::uint64_t watch = BeginWatch(deadline, [shared] {
-      shared->Set({Status::DeadlineExceeded(
-                       "deadline passed while the request was running"),
-                   {},
-                   false});
-    });
-    if (auto f = PRIVTREE_FAULT("engine.fit"); f && f.MaybeSleep()) {
-      EndWatch(watch);
-      if (needs_fit) admission_.EndFit(key);
-      shared->Set({f.ToStatus("engine.fit"), {}, false});
-      return;
-    }
-    const auto fit_start = std::chrono::steady_clock::now();
-    const serve::FitResult fitted = serve::FitSynopsis(
-        data_, dataset_fingerprint_, JobFor(spec), &cache_);
-    const std::uint64_t fit_us = MicrosSince(fit_start);
-    FitHistogram().Observe(fit_us);
-    if (trace) {
-      trace->Record(obs::Span::kFit, fit_us);
-      trace->cache_hit = fitted.cache_hit;
-    }
-    if (needs_fit) admission_.EndFit(key);
-    // The batch runs on this one pool task; concurrency comes from many
-    // requests in flight, and a fitted Method is safe to query from any
-    // number of them at once.
-    EndWatch(watch);
-    const auto kernel_start = std::chrono::steady_clock::now();
-    std::vector<double> answers = fitted.method->QueryBatch(*boxes);
-    const std::uint64_t kernel_us = MicrosSince(kernel_start);
-    KernelHistogram().Observe(kernel_us);
-    if (trace) trace->Record(obs::Span::kKernel, kernel_us);
-    shared->Set({Status::OK(), std::move(answers), fitted.cache_hit});
-  };
-  if (Status queued = Enqueue(request, needs_fit, trace); !queued.ok()) {
-    if (needs_fit) admission_.EndFit(key);
-    shared->Set({std::move(queued), {}, false});
-  }
-  return future;
+  return SubmitBatch(spec, std::move(queries), deadline, std::move(trace));
 }
 
 Future<QueryBatchResponse> AsyncEngine::SubmitSeqQueryBatch(
     const FitSpec& spec, std::vector<release::SequenceQuery> queries,
     DeadlineClock::time_point deadline, obs::TracePtr trace) {
-  Promise<QueryBatchResponse> promise;
-  Future<QueryBatchResponse> future = promise.future();
   if (Status valid = ValidateSpec(spec); !valid.ok()) {
-    promise.Set({std::move(valid), {}, false});
-    return future;
+    return Resolved<QueryBatchResponse>({std::move(valid), {}, false});
   }
   if (!data_.is_sequence()) {
-    promise.Set({Status::InvalidArgument(
-                     "sequence query batches need a sequence served "
-                     "dataset; this server serves spatial data"),
-                 {},
-                 false});
-    return future;
+    return Resolved<QueryBatchResponse>(
+        {Status::InvalidArgument("sequence query batches need a sequence "
+                                 "served dataset; this server serves "
+                                 "spatial data"),
+         {},
+         false});
   }
   for (const release::SequenceQuery& q : queries) {
     if (Status screened = release::ValidateSequenceQuery(q, data_.dim());
         !screened.ok()) {
-      promise.Set({std::move(screened), {}, false});
-      return future;
+      return Resolved<QueryBatchResponse>({std::move(screened), {}, false});
     }
   }
-  const serve::SynopsisKey key = KeyFor(spec);
-  const bool needs_fit = cache_.Lookup(key) == nullptr;
-  if (needs_fit) admission_.BeginFit(key);
+  return SubmitBatch(spec, std::move(queries), deadline, std::move(trace));
+}
+
+template <typename Query>
+Future<QueryBatchResponse> AsyncEngine::SubmitBatch(
+    const FitSpec& spec, std::vector<Query> queries,
+    DeadlineClock::time_point deadline, obs::TracePtr trace) {
+  const auto admission_start = std::chrono::steady_clock::now();
+  BatchJob<Query> job{spec, KeyFor(spec), false, std::move(queries),
+                      std::move(trace)};
+  // One query costs less than the pool hop, so against a cached release it
+  // is answered right here.  The check counts the hit FitSynopsis would,
+  // and the answer comes from the very synopsis it found: a concurrent
+  // eviction cannot turn this into a fit on the caller's thread.
+  const bool one_query = job.queries.size() == 1;
+  std::shared_ptr<const release::Method> resident =
+      cache_.Lookup(job.key, /*count_hit=*/one_query);
+  if (one_query && resident != nullptr) {
+    admission_.NoteAdmitted();
+    InlineRequestsCounter().Inc();
+    RecordAdmission(job.trace, admission_start);
+    if (DeadlineClock::now() > deadline) {
+      admission_.NoteExpired();
+      return Resolved<QueryBatchResponse>(
+          {Status::DeadlineExceeded("deadline passed before the request "
+                                    "ran; not run"),
+           {},
+           false});
+    }
+    return Resolved(RunBatch(job, std::move(resident), /*wait_us=*/0));
+  }
+
+  // Queries against a cached synopsis bypass the fit-load gate (they cost
+  // no fit); only a query that must fit first counts as fit load.
+  job.needs_fit = resident == nullptr;
+  if (job.needs_fit) admission_.BeginFit(job.key);
+  Promise<QueryBatchResponse> promise;
+  Future<QueryBatchResponse> future = promise.future();
   auto shared =
       std::make_shared<SettleOnce<QueryBatchResponse>>(std::move(promise));
-  auto specs = std::make_shared<std::vector<release::SequenceQuery>>(
-      std::move(queries));
+  auto queued = std::make_shared<const BatchJob<Query>>(std::move(job));
   QueuedRequest request;
   request.deadline = deadline;
-  request.expire = [this, shared, key, needs_fit](Status status) {
-    if (needs_fit) admission_.EndFit(key);
+  request.expire = [this, shared, queued](Status status) {
+    if (queued->needs_fit) admission_.EndFit(queued->key);
     shared->Set({std::move(status), {}, false});
   };
   const auto submitted = std::chrono::steady_clock::now();
-  request.run = [this, shared, spec, key, needs_fit, specs, deadline, trace,
-                 submitted] {
+  request.run = [this, shared, queued, deadline, submitted] {
     const std::uint64_t wait_us = MicrosSince(submitted);
-    QueueWaitHistogram().Observe(wait_us);
-    if (trace) trace->Record(obs::Span::kQueueWait, wait_us);
     const std::uint64_t watch = BeginWatch(deadline, [shared] {
       shared->Set({Status::DeadlineExceeded(
                        "deadline passed while the request was running"),
                    {},
                    false});
     });
-    if (auto f = PRIVTREE_FAULT("engine.fit"); f && f.MaybeSleep()) {
-      EndWatch(watch);
-      if (needs_fit) admission_.EndFit(key);
-      shared->Set({f.ToStatus("engine.fit"), {}, false});
-      return;
-    }
-    const auto fit_start = std::chrono::steady_clock::now();
-    const serve::FitResult fitted = serve::FitSynopsis(
-        data_, dataset_fingerprint_, JobFor(spec), &cache_);
-    const std::uint64_t fit_us = MicrosSince(fit_start);
-    FitHistogram().Observe(fit_us);
-    if (trace) {
-      trace->Record(obs::Span::kFit, fit_us);
-      trace->cache_hit = fitted.cache_hit;
-    }
-    if (needs_fit) admission_.EndFit(key);
+    QueryBatchResponse response = RunBatch(*queued, nullptr, wait_us);
     EndWatch(watch);
-    const auto kernel_start = std::chrono::steady_clock::now();
-    std::vector<double> answers = fitted.method->QueryBatch(*specs);
-    const std::uint64_t kernel_us = MicrosSince(kernel_start);
-    KernelHistogram().Observe(kernel_us);
-    if (trace) trace->Record(obs::Span::kKernel, kernel_us);
-    shared->Set({Status::OK(), std::move(answers), fitted.cache_hit});
+    shared->Set(std::move(response));
   };
-  if (Status queued = Enqueue(request, needs_fit, trace); !queued.ok()) {
-    if (needs_fit) admission_.EndFit(key);
-    shared->Set({std::move(queued), {}, false});
+  if (Status admitted = Enqueue(request, queued->needs_fit, queued->trace);
+      !admitted.ok()) {
+    if (queued->needs_fit) admission_.EndFit(queued->key);
+    shared->Set({std::move(admitted), {}, false});
   }
   return future;
+}
+
+template <typename Query>
+QueryBatchResponse AsyncEngine::RunBatch(
+    const BatchJob<Query>& job,
+    std::shared_ptr<const release::Method> resident, std::uint64_t wait_us) {
+  QueueWaitHistogram().Observe(wait_us);
+  if (job.trace) job.trace->Record(obs::Span::kQueueWait, wait_us);
+  // The fault point stalls or fails a fit; an inline request runs none.
+  if (resident == nullptr) {
+    if (auto f = PRIVTREE_FAULT("engine.fit"); f && f.MaybeSleep()) {
+      if (job.needs_fit) admission_.EndFit(job.key);
+      return {f.ToStatus("engine.fit"), {}, false};
+    }
+  }
+  const auto fit_start = std::chrono::steady_clock::now();
+  const serve::FitResult fitted =
+      resident != nullptr
+          ? serve::FitResult{std::move(resident), 0.0, /*cache_hit=*/true}
+          : serve::FitSynopsis(data_, dataset_fingerprint_, JobFor(job.spec),
+                               &cache_);
+  const std::uint64_t fit_us = MicrosSince(fit_start);
+  FitHistogram().Observe(fit_us);
+  if (job.trace) {
+    job.trace->Record(obs::Span::kFit, fit_us);
+    job.trace->cache_hit = fitted.cache_hit;
+  }
+  if (job.needs_fit) admission_.EndFit(job.key);
+  // The batch runs on this one thread; concurrency comes from many
+  // requests in flight, and a fitted Method is safe to query from any
+  // number of them at once.
+  const auto kernel_start = std::chrono::steady_clock::now();
+  std::vector<double> answers = fitted.method->QueryBatch(job.queries);
+  const std::uint64_t kernel_us = MicrosSince(kernel_start);
+  KernelHistogram().Observe(kernel_us);
+  if (job.trace) job.trace->Record(obs::Span::kKernel, kernel_us);
+  return {Status::OK(), std::move(answers), fitted.cache_hit};
 }
 
 std::size_t AsyncEngine::Warm(std::span<const FitSpec> specs) {

@@ -9,7 +9,11 @@
 // redeems whenever it likes; execution happens on the pool, one request
 // per task, with every fit memoized through the cache (identical in-flight
 // fits collapse onto the cache's single-flight path and are counted as
-// coalesced by the AdmissionController).  Answers are bit-for-bit the
+// coalesced by the AdmissionController).  The one exception is a batch of
+// exactly one query whose release is already cached: it is answered on the
+// calling thread before Submit* returns, because the pool hop costs more
+// than the box (it never fits there, takes no queue slot and is never
+// shed).  Answers are bit-for-bit the
 // answers an in-process ReleaseSession with the same seed would produce,
 // because the fit path *is* the ParallelRunner fit path
 // (serve::FitSynopsis) and queries are pure post-processing.
@@ -108,7 +112,8 @@ class AsyncEngine {
   /// Answers `queries` against the spec'd release, fitting it first if the
   /// cache does not hold it.  Every box must have the dataset's dim;
   /// requires a spatial-kind served dataset (a clean InvalidArgument
-  /// otherwise).
+  /// otherwise).  One box against a cached release resolves before this
+  /// returns (see the file comment); everything else runs on the pool.
   Future<QueryBatchResponse> SubmitQueryBatch(
       const FitSpec& spec, std::vector<Box> queries,
       DeadlineClock::time_point deadline = kNoDeadline,
@@ -157,8 +162,30 @@ class AsyncEngine {
   static serve::FitJob JobFor(const FitSpec& spec);
 
  private:
+  /// One query batch as its body needs it, on whichever thread runs it.
+  template <typename Query>
+  struct BatchJob;
+
   /// Pool task body: pop one request, expire or run it.
   void RunOne();
+
+  /// The shared tail of SubmitQueryBatch and SubmitSeqQueryBatch once the
+  /// queries passed their checks: answers a one-query batch on a cached
+  /// release right here, queues everything else.
+  template <typename Query>
+  Future<QueryBatchResponse> SubmitBatch(const FitSpec& spec,
+                                         std::vector<Query> queries,
+                                         DeadlineClock::time_point deadline,
+                                         obs::TracePtr trace);
+
+  /// One batch's body, for the pool task and the inline branch alike:
+  /// records the queue-wait (`wait_us`), fit and kernel spans and answers
+  /// the queries against `resident` when non-null, else against the
+  /// release FitSynopsis fits or re-serves.
+  template <typename Query>
+  QueryBatchResponse RunBatch(const BatchJob<Query>& job,
+                              std::shared_ptr<const release::Method> resident,
+                              std::uint64_t wait_us);
 
   /// Registers an *executing* request with the watchdog: if `deadline`
   /// passes before EndWatch, the watchdog runs `fail` (which settles the

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/export.h"
+#include "obs/metrics.h"
 #include "release/registry.h"
 #include "server/request.h"
 
@@ -12,16 +13,20 @@ namespace privtree::server {
 
 namespace {
 
-/// Runs `encode` and charges its duration to the trace's serialize span.
+/// Runs `encode` and charges its duration to the serialize histogram and
+/// to the trace's serialize span.
 template <typename EncodeFn>
 std::string EncodeWithSpan(const obs::TracePtr& trace, EncodeFn&& encode) {
-  if (!trace) return encode();
+  static obs::Histogram& serialize_us =
+      obs::Registry::Global().GetHistogram("server.serialize_us");
   const auto start = std::chrono::steady_clock::now();
   std::string reply = encode();
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  trace->Record(obs::Span::kSerialize, us < 0 ? 0 : us);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  const std::int64_t us = elapsed < 0 ? 0 : elapsed;
+  serialize_us.Observe(static_cast<std::uint64_t>(us));
+  if (trace) trace->Record(obs::Span::kSerialize, us);
   return reply;
 }
 

@@ -7,10 +7,12 @@
 //
 // The API is asynchronous: HandleFrame invokes `done(reply)` exactly once —
 // synchronously for control frames (Hello, Warm, Stats, Shutdown,
-// RegisterDataset) and every error caught before submission, or from a
-// pool thread's completion callback for engine-backed frames (Fit,
-// QueryBatch, SeqQueryBatch), which is what lets the event loop pipeline
-// requests without parking a thread per in-flight frame.
+// RegisterDataset), every error caught before submission and a one-query
+// batch on a cached release (which the engine answers on the calling
+// thread), or from a pool thread's completion callback for the other
+// engine-backed frames (Fit, QueryBatch, SeqQueryBatch), which is what lets
+// the event loop pipeline requests without parking a thread per in-flight
+// frame.
 //
 // Budget semantics: every fit-carrying request charges its spec's ε to the
 // session the first time the session touches that synopsis key (repeats

@@ -64,6 +64,14 @@ struct EventCounters {
       obs::Registry::Global().GetCounter("event.force_closed_in_drain");
   obs::Gauge& max_concurrent =
       obs::Registry::Global().GetGauge("event.max_concurrent");
+  // The loop's share of a request's spans (obs::Span), histogrammed so
+  // GetStats attributes a request without reading traces.
+  obs::Histogram& socket_read_us =
+      obs::Registry::Global().GetHistogram("server.socket_read_us");
+  obs::Histogram& dispatch_us =
+      obs::Registry::Global().GetHistogram("server.dispatch_us");
+  obs::Histogram& socket_write_us =
+      obs::Registry::Global().GetHistogram("server.socket_write_us");
 };
 
 EventCounters& Counters() {
@@ -77,6 +85,17 @@ std::int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
                       .count();
   return us < 0 ? 0 : us;
 }
+
+/// The frame whose HandleFrame is running on this thread, if any.  A reply
+/// callback that finds its own frame here was called back synchronously,
+/// on the loop thread, and lands straight in the frame's slot; pool
+/// threads never set it, so their replies take the completion queue.
+struct SyncReply {
+  std::uint64_t conn_id = 0;
+  std::uint64_t slot = 0;
+  std::optional<std::string> reply;
+};
+thread_local SyncReply* sync_reply = nullptr;
 
 }  // namespace
 
@@ -101,12 +120,16 @@ struct EventLoop::CompletionQueue {
     if (wake_fd >= 0) ::close(wake_fd);
   }
 
+  /// Wakes the loop only when the list goes from empty to non-empty: the
+  /// loop drains the whole list each turn, so one write covers a batch.
   void Post(Completion completion) {
+    bool was_empty = false;
     {
       MutexLock lk(mu);
+      was_empty = items.empty();
       items.push_back(std::move(completion));
     }
-    Wake();
+    if (was_empty) Wake();
   }
 
   void Wake() {
@@ -408,6 +431,8 @@ void EventLoop::DispatchFrame(Conn& conn, std::string_view payload) {
   // the frame carries one); recording never touches the reply bytes.
   obs::TracePtr trace = obs::StartTrace();
   trace->Record(obs::Span::kSocketRead, conn.last_read_us);
+  Counters().socket_read_us.Observe(
+      static_cast<std::uint64_t>(conn.last_read_us));
   conn.pending.push_back(Conn::PendingSlot{std::nullopt, trace});
   ++conn.in_flight;
   stats_.served_frames.fetch_add(1, std::memory_order_relaxed);
@@ -416,13 +441,30 @@ void EventLoop::DispatchFrame(Conn& conn, std::string_view payload) {
   bool shutdown = false;
   const std::shared_ptr<CompletionQueue> queue = queue_;
   const std::uint64_t id = conn.id;
+  SyncReply sync{id, slot, std::nullopt};
+  sync_reply = &sync;
   const auto dispatch_start = std::chrono::steady_clock::now();
   dispatcher_.HandleFrame(payload, conn.session, &shutdown,
                           [queue, id, slot](std::string reply) {
+                            SyncReply* target = sync_reply;
+                            if (target != nullptr && target->conn_id == id &&
+                                target->slot == slot) {
+                              target->reply.emplace(std::move(reply));
+                              return;
+                            }
                             queue->Post({id, slot, std::move(reply)});
                           },
                           trace);
-  trace->Record(obs::Span::kDispatch, MicrosSince(dispatch_start));
+  const std::int64_t dispatch_us = MicrosSince(dispatch_start);
+  sync_reply = nullptr;
+  trace->Record(obs::Span::kDispatch, dispatch_us);
+  Counters().dispatch_us.Observe(static_cast<std::uint64_t>(dispatch_us));
+  if (sync.reply.has_value()) {
+    // Answered during HandleFrame: the FlushConn that ends ParseFrames
+    // sends it, with no completion-queue round trip.
+    conn.pending.back().reply = std::move(sync.reply);
+    --conn.in_flight;
+  }
   if (shutdown) {
     // Serve the ShutdownReply, then drain the whole loop.
     conn.stop_reading = true;
@@ -469,8 +511,9 @@ void EventLoop::FlushConn(Conn& conn) {
   while (!conn.writes.empty() &&
          conn.writes.front().end_offset <= conn.flushed_bytes) {
     Conn::InFlightWrite& done = conn.writes.front();
-    done.trace->Record(obs::Span::kSocketWrite,
-                       MicrosSince(done.framed_at));
+    const std::int64_t write_us = MicrosSince(done.framed_at);
+    done.trace->Record(obs::Span::kSocketWrite, write_us);
+    Counters().socket_write_us.Observe(static_cast<std::uint64_t>(write_us));
     obs::FinishTrace(*done.trace);
     conn.writes.pop_front();
   }

@@ -5,12 +5,14 @@
 // instance with non-blocking per-connection read/write buffers, so a client
 // costs a buffer, not a thread.  A readable connection is drained into
 // its input buffer and parsed into length-prefixed frames; each complete
-// frame is handed to the shared Dispatcher, whose completion callback (run
-// on an engine pool thread for fit/query frames) posts the reply to a
-// completion queue and nudges an eventfd — the loop thread wakes, fills the
-// frame's reply slot, and flushes.  Replies keep *request order* per
-// connection even though completions arrive out of order, so clients may
-// pipeline: send N frames back to back, read N replies.
+// frame is handed to the shared Dispatcher.  A reply produced while the
+// Dispatcher still runs (control frames, errors, a one-query batch on a
+// cached release) goes straight into the frame's reply slot and is sent by
+// the flush that ends the read; a reply from an engine pool thread is
+// posted to a completion queue that nudges an eventfd — the loop thread
+// wakes, fills the frame's reply slot, and flushes.  Replies keep *request
+// order* per connection even though completions arrive out of order, so
+// clients may pipeline: send N frames back to back, read N replies.
 //
 // Robustness against misbehaving peers:
 //   * A garbage or oversized length prefix answers ErrorReply and closes

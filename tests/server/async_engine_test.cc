@@ -7,13 +7,17 @@
 //   * a request whose deadline passes while queued is retired with
 //     DeadlineExceeded and never executes;
 //   * identical in-flight fits coalesce onto the cache's single-flight
-//     path; Warm() fills the cache in the background.
+//     path; Warm() fills the cache in the background;
+//   * a one-query batch on a cached release is answered before Submit*
+//     returns, bit-for-bit as the pool would, while bigger batches and
+//     uncached releases still wait for the pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,8 +26,12 @@
 #include "dp/rng.h"
 #include "dp/status.h"
 #include "eval/workload.h"
+#include "obs/metrics.h"
+#include "release/dataset.h"
 #include "release/registry.h"
+#include "release/sequence_query.h"
 #include "release/session.h"
+#include "seq/sequence.h"
 #include "serve/synopsis_cache.h"
 #include "serve/thread_pool.h"
 #include "server/async_engine.h"
@@ -391,6 +399,150 @@ TEST(AsyncEngineTest, FixedHeightTreesAreBoundedByTheirCompleteTree) {
   EXPECT_EQ(validate("simpletree", "height=64"), StatusCode::kInvalidArgument);
   // privtree's size is set by ε and the data, not by a height.
   EXPECT_EQ(validate("privtree", "max_depth=4096"), StatusCode::kOk);
+}
+
+std::uint64_t InlineRequests() {
+  return obs::Registry::Global().GetCounter("engine.inline_requests").Value();
+}
+
+TEST(AsyncEngineTest, ResidentOneQueryResolvesBeforeSubmitReturns) {
+  const PointSet points = TestPoints(100);
+  const std::vector<Box> queries = TestQueries(2);
+  serve::ThreadPool pool(1);
+  serve::SynopsisCache cache(16);
+  AsyncEngine engine(points, Box::UnitCube(2), pool, cache);
+  const FitSpec spec{"ug", {}, kEpsilon, kSeed};
+  ASSERT_TRUE(engine.SubmitFit(spec).Get().status.ok());
+
+  Wedge wedge;
+  wedge.Block(pool);
+  const std::size_t hits_before = cache.stats().hits;
+  const std::uint64_t inline_before = InlineRequests();
+  const std::size_t admitted_before = engine.Stats().admission.admitted;
+
+  // One box on the cached release: answered on this thread, although the
+  // only pool worker is wedged.
+  Future<QueryBatchResponse> one =
+      engine.SubmitQueryBatch(spec, {queries[0]});
+  const bool one_ready = one.Ready();
+  // Two boxes on the same release, and one box on a release not yet in
+  // the cache, both wait for the pool: the caller's thread never fits.
+  Future<QueryBatchResponse> two = engine.SubmitQueryBatch(spec, queries);
+  Future<QueryBatchResponse> uncached = engine.SubmitQueryBatch(
+      {"ug", {}, kEpsilon, kSeed + 1}, {queries[0]});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const bool two_ready = two.Ready();
+  const bool uncached_ready = uncached.Ready();
+  const std::size_t misses_wedged = cache.stats().misses;
+  wedge.Release();
+
+  EXPECT_TRUE(one_ready);
+  EXPECT_FALSE(two_ready);
+  EXPECT_FALSE(uncached_ready);
+  EXPECT_EQ(misses_wedged, 1u);  // Only the SubmitFit above.
+  ASSERT_TRUE(one.Get().status.ok()) << one.Get().status.ToString();
+  EXPECT_TRUE(one.Get().cache_hit);
+  EXPECT_EQ(one.Get().answers, SessionAnswers(points, "ug", {queries[0]}));
+  EXPECT_EQ(InlineRequests(), inline_before + 1);
+  ASSERT_TRUE(two.Get().status.ok());
+  EXPECT_EQ(two.Get().answers, SessionAnswers(points, "ug", queries));
+  ASSERT_TRUE(uncached.Get().status.ok());
+  EXPECT_FALSE(uncached.Get().cache_hit);
+  EXPECT_EQ(uncached.Get().answers,
+            SessionAnswers(points, "ug", {queries[0]}, kSeed + 1));
+  // The inline request counted one hit and the pooled two-box batch one
+  // more; the uncached release one miss.
+  EXPECT_EQ(cache.stats().hits, hits_before + 2);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(engine.Stats().admission.admitted, admitted_before + 3);
+}
+
+TEST(AsyncEngineTest, InlineAnswersMatchThePoolPathBitForBit) {
+  const PointSet points = TestPoints();
+  const std::vector<Box> queries = TestQueries();
+  serve::ThreadPool pool(2);
+  serve::SynopsisCache cache(16);
+  AsyncEngine engine(points, Box::UnitCube(2), pool, cache);
+
+  for (const std::string method : {"ug", "privtree", "kdtree"}) {
+    const FitSpec spec{method, {}, kEpsilon, kSeed};
+    // The whole batch runs on the pool (and fits the release there).
+    const QueryBatchResponse pooled =
+        engine.SubmitQueryBatch(spec, queries).Get();
+    ASSERT_TRUE(pooled.status.ok()) << method;
+    ASSERT_EQ(pooled.answers, SessionAnswers(points, method, queries))
+        << method;
+    const std::uint64_t inline_before = InlineRequests();
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      Future<QueryBatchResponse> one =
+          engine.SubmitQueryBatch(spec, {queries[i]});
+      ASSERT_TRUE(one.Ready()) << method << " query " << i;
+      ASSERT_EQ(one.Get().answers.size(), 1u);
+      EXPECT_EQ(one.Get().answers[0], pooled.answers[i])
+          << method << " query " << i << " diverged inline";
+    }
+    EXPECT_EQ(InlineRequests(), inline_before + queries.size()) << method;
+  }
+}
+
+TEST(AsyncEngineTest, InlineSequenceAnswersMatchThePoolPathBitForBit) {
+  Rng rng(0x5E0);
+  SequenceDataset data(6);
+  std::vector<Symbol> row;
+  for (int i = 0; i < 300; ++i) {
+    row.clear();
+    const std::size_t len = 1 + rng.NextBounded(8);
+    for (std::size_t j = 0; j < len; ++j) {
+      row.push_back(static_cast<Symbol>(rng.NextBounded(6)));
+    }
+    data.Add(row);
+  }
+  std::vector<release::SequenceQuery> queries = {
+      release::SequenceQuery::Frequency({1}),
+      release::SequenceQuery::Frequency({2, 3}),
+      release::SequenceQuery::PrefixCount({0, 4}),
+      release::SequenceQuery::TopK(3, 2),
+  };
+  serve::ThreadPool pool(2);
+  serve::SynopsisCache cache(16);
+  AsyncEngine engine(release::Dataset(data), pool, cache);
+  const FitSpec spec{"pst_privtree", release::MethodOptions::Parse("l_top=8"),
+                     kEpsilon, kSeed};
+
+  const QueryBatchResponse pooled =
+      engine.SubmitSeqQueryBatch(spec, queries).Get();
+  ASSERT_TRUE(pooled.status.ok()) << pooled.status.ToString();
+  const std::uint64_t inline_before = InlineRequests();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    Future<QueryBatchResponse> one =
+        engine.SubmitSeqQueryBatch(spec, {queries[i]});
+    ASSERT_TRUE(one.Ready()) << "query " << i;
+    ASSERT_EQ(one.Get().answers.size(), 1u);
+    EXPECT_EQ(one.Get().answers[0], pooled.answers[i])
+        << "sequence query " << i << " diverged inline";
+  }
+  EXPECT_EQ(InlineRequests(), inline_before + queries.size());
+}
+
+TEST(AsyncEngineTest, InlineRequestPastItsDeadlineNeverRuns) {
+  const PointSet points = TestPoints(100);
+  serve::ThreadPool pool(1);
+  serve::SynopsisCache cache(16);
+  AsyncEngine engine(points, Box::UnitCube(2), pool, cache);
+  const FitSpec spec{"ug", {}, kEpsilon, kSeed};
+  ASSERT_TRUE(engine.SubmitFit(spec).Get().status.ok());
+
+  obs::Histogram& kernels =
+      obs::Registry::Global().GetHistogram("engine.kernel_us");
+  const std::uint64_t kernels_before = kernels.Count();
+  Future<QueryBatchResponse> late = engine.SubmitQueryBatch(
+      spec, TestQueries(1),
+      DeadlineClock::now() - std::chrono::milliseconds(1));
+  ASSERT_TRUE(late.Ready());
+  EXPECT_EQ(late.Get().status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(late.Get().answers.empty());
+  EXPECT_EQ(engine.Stats().admission.expired, 1u);
+  EXPECT_EQ(kernels.Count(), kernels_before);  // No kernel ran.
 }
 
 }  // namespace

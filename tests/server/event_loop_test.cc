@@ -5,7 +5,8 @@
 // idle timeout without disturbing other clients (the regression this file
 // pins), malformed payloads answer ErrorReply and keep the connection while
 // malformed length prefixes close it, server-side errors (oversized tree
-// specs among them) come back as statuses, and Shutdown drains the loop
+// specs among them) come back as statuses, replies answered during
+// dispatch keep their place among pooled ones, and Shutdown drains the loop
 // gracefully.
 #include <gtest/gtest.h>
 
@@ -181,6 +182,83 @@ TEST_F(EventLoopFixture, PipelinedFramesAnswerInRequestOrder) {
         << "pipelined reply " << i << " out of order";
   }
   EXPECT_GE(loop_->stats().served_frames, methods.size());
+}
+
+TEST_F(EventLoopFixture, InlineAndPooledRepliesKeepRequestOrder) {
+  // One pipelined connection mixing every reply route: 1-box queries on a
+  // cached release (answered during dispatch, on the loop thread), 64-box
+  // queries and an uncached 1-box query (pool), a Fit (pool) and a
+  // malformed payload (answered during dispatch).  Replies come back in
+  // request order, each with the answers of its own frame.
+  Client client = MustConnect();
+  const FitSpec ug{"ug", {}, kEpsilon, kSeed};
+  const FitSpec privtree{"privtree", {}, kEpsilon, kSeed};
+  ASSERT_TRUE(client.Fit(ug).ok());
+
+  struct Frame {
+    std::string payload;
+    const FitSpec* spec = nullptr;  // Query frames: whose answers.
+    std::vector<Box> boxes;
+  };
+  const std::vector<Box> all_boxes = TestQueries(64 + 4);
+  const auto query = [&](const FitSpec& spec, std::size_t first,
+                         std::size_t count) {
+    Frame frame;
+    frame.spec = &spec;
+    frame.boxes.assign(all_boxes.begin() + first,
+                       all_boxes.begin() + first + count);
+    QueryBatchRequest request;
+    request.spec = spec;
+    request.queries = frame.boxes;
+    frame.payload = EncodeQueryBatch(request);
+    return frame;
+  };
+  std::vector<Frame> frames;
+  frames.push_back(query(ug, 0, 1));
+  frames.push_back(query(ug, 4, 64));
+  frames.push_back(query(privtree, 1, 1));  // Not cached yet: pool fit.
+  frames.push_back(Frame{EncodeFit({privtree, 0, 0}), nullptr, {}});
+  frames.push_back(Frame{"garbage frame", nullptr, {}});
+  frames.push_back(query(ug, 2, 1));
+  frames.push_back(query(ug, 3, 64));
+  frames.push_back(query(ug, 3, 1));
+
+  auto dialed = Connection::Dial("127.0.0.1", port_);
+  ASSERT_TRUE(dialed.ok());
+  Connection conn = std::move(dialed).value();
+  // A reply lost to a misplaced slot fails the read instead of hanging.
+  ASSERT_TRUE(conn.SetRecvTimeout(5000).ok());
+  std::string burst;
+  for (const Frame& frame : frames) {
+    ByteWriter w(&burst);
+    w.U32(static_cast<std::uint32_t>(frame.payload.size()));
+    burst.append(frame.payload);
+  }
+  ASSERT_EQ(::send(conn.fd(), burst.data(), burst.size(), 0),
+            static_cast<ssize_t>(burst.size()));
+
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    auto reply = conn.RecvFrame();
+    ASSERT_TRUE(reply.ok()) << "reply " << i;
+    const Frame& frame = frames[i];
+    if (frame.spec != nullptr) {
+      QueryBatchReply batch;
+      ASSERT_TRUE(DecodeQueryBatchReply(reply.value(), &batch).ok())
+          << "reply " << i << " is not a query reply";
+      release::ReleaseSession session(*points_, Box::UnitCube(2), kEpsilon,
+                                      kSeed);
+      EXPECT_EQ(batch.answers, session.Release(frame.spec->method, kEpsilon)
+                                   ->QueryBatch(frame.boxes))
+          << "reply " << i << " out of order";
+    } else if (frame.payload == "garbage frame") {
+      EXPECT_EQ(PeekType(reply.value()).value(), MessageType::kErrorReply)
+          << "reply " << i;
+    } else {
+      FitReply fit;
+      ASSERT_TRUE(DecodeFitReply(reply.value(), &fit).ok()) << "reply " << i;
+      EXPECT_EQ(fit.metadata.method, "privtree");
+    }
+  }
 }
 
 TEST_F(EventLoopFixture, ConcurrentClientsShareOneCache) {

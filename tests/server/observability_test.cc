@@ -1,13 +1,15 @@
 // The observability surface over a live socket: a Hello from any protocol
 // version but the current one is refused, a kTraced wrapper never changes a
 // single reply byte, GetStats returns a JSON snapshot whose counters match
-// the traffic that was actually served, and the trace ring records one
-// finished trace per request with the spans a query pipeline must have.
+// the traffic that was actually served, every request span has its own
+// histogram, and the trace ring records one finished trace per request
+// with the spans a query pipeline must have.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -218,6 +220,48 @@ TEST_F(ObservabilityFixture, EveryServedRequestFinishesOneTrace) {
     EXPECT_GE(trace.total_us, 0);
   }
   EXPECT_TRUE(found_query_trace);
+}
+
+/// The "count" of histogram `name` in a GetStats JSON snapshot, or -1.
+std::int64_t HistogramCount(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\":{\"count\":";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + key.size()));
+}
+
+TEST_F(ObservabilityFixture, SpanHistogramsAndInlineRequestsAreCounted) {
+  auto client = Client::Connect("127.0.0.1", port_);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const FitSpec spec{"ug", {}, kEpsilon, 0xC11};
+  const std::vector<Box> queries = TestQueries(3);
+  ASSERT_TRUE(client.value().QueryBatch(spec, queries).ok());  // Fits ug.
+
+  obs::Counter& inline_requests =
+      obs::Registry::Global().GetCounter("engine.inline_requests");
+  const std::uint64_t before = inline_requests.Value();
+  // One box on the cached release is answered on the loop thread...
+  ASSERT_TRUE(
+      client.value().QueryBatch(spec, std::span(queries).first(1)).ok());
+  EXPECT_EQ(inline_requests.Value(), before + 1);
+  // ...three boxes still go to the pool.
+  ASSERT_TRUE(client.value().QueryBatch(spec, queries).ok());
+  EXPECT_EQ(inline_requests.Value(), before + 1);
+
+  // Every span of a served query now has its own histogram.  The snapshot
+  // is taken while the GetStats frame is dispatched, after the loop
+  // flushed every earlier reply on this connection.
+  auto json = client.value().GetStatsJson();
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  for (const char* name :
+       {"server.socket_read_us", "server.dispatch_us", "engine.admission_us",
+        "engine.queue_wait_us", "engine.fit_us", "engine.kernel_us",
+        "server.serialize_us", "server.socket_write_us"}) {
+    EXPECT_GE(HistogramCount(json.value(), name), 1) << name;
+  }
+  EXPECT_NE(json.value().find("\"engine.inline_requests\":1"),
+            std::string::npos)
+      << json.value();
 }
 
 TEST_F(ObservabilityFixture, ClientTraceIdsSurfaceInTheRing) {
