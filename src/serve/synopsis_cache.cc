@@ -492,16 +492,18 @@ std::shared_ptr<const release::Method> SynopsisCache::GetOrFit(
 }
 
 std::shared_ptr<const release::Method> SynopsisCache::Lookup(
-    const SynopsisKey& key, bool count_hit) {
+    const SynopsisKey& key) {
   MutexLock lk(mu_);
   const auto it = index_.find(key);
   if (it == index_.end()) return nullptr;
-  if (count_hit) {
-    ++stats_.hits;
-    Metrics().hits.Inc();
-  }
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->second;
+}
+
+void SynopsisCache::NoteHit() {
+  MutexLock lk(mu_);
+  ++stats_.hits;
+  Metrics().hits.Inc();
 }
 
 std::size_t SynopsisCache::size() const {

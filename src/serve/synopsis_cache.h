@@ -172,12 +172,12 @@ class SynopsisCache {
       EXCLUDES(mu_);
 
   /// The cached synopsis, or null without side effects beyond LRU touch.
-  /// With `count_hit`, a found entry counts as a hit exactly as GetOrFit's
-  /// would (a miss counts nothing): for a caller that serves the returned
-  /// synopsis in place of calling GetOrFit.
-  std::shared_ptr<const release::Method> Lookup(const SynopsisKey& key,
-                                                bool count_hit = false)
+  std::shared_ptr<const release::Method> Lookup(const SynopsisKey& key)
       EXCLUDES(mu_);
+
+  /// Counts one hit, as GetOrFit does when it serves a cached entry: for a
+  /// caller that serves a synopsis Lookup returned in place of GetOrFit.
+  void NoteHit() EXCLUDES(mu_);
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -36,6 +38,25 @@ std::uint64_t CompleteTreeNodes(std::uint64_t fanout, std::int64_t levels) {
   }
   return nodes;
 }
+
+/// An upper bound on the work one box query costs against a release with
+/// `meta`, in coordinate reads.  A flat grid (height 0) answers from its
+/// prefix-sum lattice in 4^d reads whatever its size; a tree or hierarchy
+/// may visit every one of its nodes, d coordinates each.
+std::size_t WorstCaseBoxWork(const release::MethodMetadata& meta) {
+  if (meta.height != 0) return meta.synopsis_size * meta.dim;
+  return meta.dim < 32 ? std::size_t{1} << (2 * meta.dim)
+                       : std::numeric_limits<std::size_t>::max();
+}
+
+// The work budget of a box answered on the caller's thread.  On a 4-core
+// x86-64 VM, the costliest of 60 slab and near-domain boxes against every
+// spatial method, at 2-8 dims, took at most 12 µs within this budget (a
+// 5-D wavelet grid; trees at most 3.2 µs): about the 9 µs the pool hop
+// costs that thread, so an inline box never holds it much longer than the
+// hop would.  Past the budget a box takes the pool: one 8-D box on a
+// 66k-node privtree took 2.3-3.4 ms.
+constexpr std::size_t kInlineBoxWork = 1024;
 
 // Registry handles resolved once per process; recording through them is
 // lock-free.  Every engine shares these (the names are per-process, like
@@ -446,14 +467,13 @@ Future<QueryBatchResponse> AsyncEngine::SubmitBatch(
   const auto admission_start = std::chrono::steady_clock::now();
   BatchJob<Query> job{spec, KeyFor(spec), false, std::move(queries),
                       std::move(trace)};
-  // One query costs less than the pool hop, so against a cached release it
-  // is answered right here.  The check counts the hit FitSynopsis would,
-  // and the answer comes from the very synopsis it found: a concurrent
-  // eviction cannot turn this into a fit on the caller's thread.
-  const bool one_query = job.queries.size() == 1;
-  std::shared_ptr<const release::Method> resident =
-      cache_.Lookup(job.key, /*count_hit=*/one_query);
-  if (one_query && resident != nullptr) {
+  // A box whose worst case costs about the pool hop is answered right here
+  // when its release is cached.  The answer comes from the very synopsis
+  // the lookup found: a concurrent eviction cannot turn this into a fit on
+  // the caller's thread.
+  std::shared_ptr<const release::Method> resident = cache_.Lookup(job.key);
+  if (resident != nullptr && InlineEligible(job.queries, *resident)) {
+    cache_.NoteHit();  // The hit FitSynopsis would have counted.
     admission_.NoteAdmitted();
     InlineRequestsCounter().Inc();
     RecordAdmission(job.trace, admission_start);
@@ -465,7 +485,8 @@ Future<QueryBatchResponse> AsyncEngine::SubmitBatch(
            {},
            false});
     }
-    return Resolved(RunBatch(job, std::move(resident), /*wait_us=*/0));
+    return Resolved(
+        RunBatch(job, std::move(resident), /*wait_us=*/0, /*watch=*/0));
   }
 
   // Queries against a cached synopsis bypass the fit-load gate (they cost
@@ -492,9 +513,7 @@ Future<QueryBatchResponse> AsyncEngine::SubmitBatch(
                    {},
                    false});
     });
-    QueryBatchResponse response = RunBatch(*queued, nullptr, wait_us);
-    EndWatch(watch);
-    shared->Set(std::move(response));
+    shared->Set(RunBatch(*queued, nullptr, wait_us, watch));
   };
   if (Status admitted = Enqueue(request, queued->needs_fit, queued->trace);
       !admitted.ok()) {
@@ -505,14 +524,29 @@ Future<QueryBatchResponse> AsyncEngine::SubmitBatch(
 }
 
 template <typename Query>
+bool AsyncEngine::InlineEligible(const std::vector<Query>& queries,
+                                 const release::Method& resident) {
+  // A sequence query can cost far more than the hop (a TopK walk prunes
+  // nothing until it holds k candidates), so only boxes run inline.
+  if constexpr (std::is_same_v<Query, Box>) {
+    return queries.size() == 1 &&
+           WorstCaseBoxWork(resident.Metadata()) <= kInlineBoxWork;
+  } else {
+    return false;
+  }
+}
+
+template <typename Query>
 QueryBatchResponse AsyncEngine::RunBatch(
     const BatchJob<Query>& job,
-    std::shared_ptr<const release::Method> resident, std::uint64_t wait_us) {
+    std::shared_ptr<const release::Method> resident, std::uint64_t wait_us,
+    std::uint64_t watch) {
   QueueWaitHistogram().Observe(wait_us);
   if (job.trace) job.trace->Record(obs::Span::kQueueWait, wait_us);
   // The fault point stalls or fails a fit; an inline request runs none.
   if (resident == nullptr) {
     if (auto f = PRIVTREE_FAULT("engine.fit"); f && f.MaybeSleep()) {
+      EndWatch(watch);
       if (job.needs_fit) admission_.EndFit(job.key);
       return {f.ToStatus("engine.fit"), {}, false};
     }
@@ -530,6 +564,8 @@ QueryBatchResponse AsyncEngine::RunBatch(
     job.trace->cache_hit = fitted.cache_hit;
   }
   if (job.needs_fit) admission_.EndFit(job.key);
+  // The watchdog guards the fit; once fitted, the batch is answered.
+  EndWatch(watch);
   // The batch runs on this one thread; concurrency comes from many
   // requests in flight, and a fitted Method is safe to query from any
   // number of them at once.

@@ -10,10 +10,10 @@
 // per task, with every fit memoized through the cache (identical in-flight
 // fits collapse onto the cache's single-flight path and are counted as
 // coalesced by the AdmissionController).  The one exception is a batch of
-// exactly one query whose release is already cached: it is answered on the
-// calling thread before Submit* returns, because the pool hop costs more
-// than the box (it never fits there, takes no queue slot and is never
-// shed).  Answers are bit-for-bit the
+// exactly one box whose release is already cached and small enough that
+// the box's worst case costs about the pool hop: it is answered on the
+// calling thread before SubmitQueryBatch returns (it never fits there,
+// takes no queue slot and is never shed).  Answers are bit-for-bit the
 // answers an in-process ReleaseSession with the same seed would produce,
 // because the fit path *is* the ParallelRunner fit path
 // (serve::FitSynopsis) and queries are pure post-processing.
@@ -112,8 +112,8 @@ class AsyncEngine {
   /// Answers `queries` against the spec'd release, fitting it first if the
   /// cache does not hold it.  Every box must have the dataset's dim;
   /// requires a spatial-kind served dataset (a clean InvalidArgument
-  /// otherwise).  One box against a cached release resolves before this
-  /// returns (see the file comment); everything else runs on the pool.
+  /// otherwise).  One box against a small cached release resolves before
+  /// this returns (see the file comment); everything else runs on the pool.
   Future<QueryBatchResponse> SubmitQueryBatch(
       const FitSpec& spec, std::vector<Box> queries,
       DeadlineClock::time_point deadline = kNoDeadline,
@@ -170,22 +170,31 @@ class AsyncEngine {
   void RunOne();
 
   /// The shared tail of SubmitQueryBatch and SubmitSeqQueryBatch once the
-  /// queries passed their checks: answers a one-query batch on a cached
-  /// release right here, queues everything else.
+  /// queries passed their checks: answers an InlineEligible batch on a
+  /// cached release right here, queues everything else.
   template <typename Query>
   Future<QueryBatchResponse> SubmitBatch(const FitSpec& spec,
                                          std::vector<Query> queries,
                                          DeadlineClock::time_point deadline,
                                          obs::TracePtr trace);
 
+  /// Whether `queries` against the cached `resident` are answered on the
+  /// caller's thread: exactly one box whose worst case fits the inline work
+  /// budget (see async_engine.cc).  Sequence batches never are.
+  template <typename Query>
+  static bool InlineEligible(const std::vector<Query>& queries,
+                             const release::Method& resident);
+
   /// One batch's body, for the pool task and the inline branch alike:
   /// records the queue-wait (`wait_us`), fit and kernel spans and answers
   /// the queries against `resident` when non-null, else against the
-  /// release FitSynopsis fits or re-serves.
+  /// release FitSynopsis fits or re-serves.  Ends watch `watch` (0: none)
+  /// once the release is fitted, so the watchdog guards the fit, not the
+  /// kernel.
   template <typename Query>
   QueryBatchResponse RunBatch(const BatchJob<Query>& job,
                               std::shared_ptr<const release::Method> resident,
-                              std::uint64_t wait_us);
+                              std::uint64_t wait_us, std::uint64_t watch);
 
   /// Registers an *executing* request with the watchdog: if `deadline`
   /// passes before EndWatch, the watchdog runs `fail` (which settles the

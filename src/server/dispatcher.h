@@ -7,8 +7,8 @@
 //
 // The API is asynchronous: HandleFrame invokes `done(reply)` exactly once —
 // synchronously for control frames (Hello, Warm, Stats, Shutdown,
-// RegisterDataset), every error caught before submission and a one-query
-// batch on a cached release (which the engine answers on the calling
+// RegisterDataset), every error caught before submission and a one-box
+// batch on a small cached release (which the engine answers on the calling
 // thread), or from a pool thread's completion callback for the other
 // engine-backed frames (Fit, QueryBatch, SeqQueryBatch), which is what lets
 // the event loop pipeline requests without parking a thread per in-flight

@@ -6,7 +6,7 @@
 // costs a buffer, not a thread.  A readable connection is drained into
 // its input buffer and parsed into length-prefixed frames; each complete
 // frame is handed to the shared Dispatcher.  A reply produced while the
-// Dispatcher still runs (control frames, errors, a one-query batch on a
+// Dispatcher still runs (control frames, errors, a one-box batch on a small
 // cached release) goes straight into the frame's reply slot and is sent by
 // the flush that ends the read; a reply from an engine pool thread is
 // posted to a completion queue that nudges an eventfd — the loop thread

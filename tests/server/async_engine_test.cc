@@ -8,9 +8,10 @@
 //     DeadlineExceeded and never executes;
 //   * identical in-flight fits coalesce onto the cache's single-flight
 //     path; Warm() fills the cache in the background;
-//   * a one-query batch on a cached release is answered before Submit*
-//     returns, bit-for-bit as the pool would, while bigger batches and
-//     uncached releases still wait for the pool.
+//   * a one-box batch on a small cached release is answered before
+//     SubmitQueryBatch returns, bit-for-bit as the pool would, while bigger
+//     batches, uncached or large releases and sequence batches still wait
+//     for the pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -485,7 +486,38 @@ TEST(AsyncEngineTest, InlineAnswersMatchThePoolPathBitForBit) {
   }
 }
 
-TEST(AsyncEngineTest, InlineSequenceAnswersMatchThePoolPathBitForBit) {
+TEST(AsyncEngineTest, OneBoxOnALargeReleaseWaitsForThePool) {
+  const PointSet points = TestPoints();
+  const std::vector<Box> queries = TestQueries(1);
+  serve::ThreadPool pool(1);
+  serve::SynopsisCache cache(16);
+  AsyncEngine engine(points, Box::UnitCube(2), pool, cache);
+  // 2047 nodes: one box may visit all of them, past the inline budget.
+  const FitSpec spec{"kdtree", release::MethodOptions::Parse("height=10"),
+                     kEpsilon, kSeed};
+  const FitResponse fitted = engine.SubmitFit(spec).Get();
+  ASSERT_TRUE(fitted.status.ok()) << fitted.status.ToString();
+  ASSERT_EQ(fitted.metadata.synopsis_size, 2047u);
+
+  Wedge wedge;
+  wedge.Block(pool);
+  const std::uint64_t inline_before = InlineRequests();
+  Future<QueryBatchResponse> one = engine.SubmitQueryBatch(spec, queries);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const bool one_ready = one.Ready();
+  wedge.Release();
+
+  EXPECT_FALSE(one_ready);
+  ASSERT_TRUE(one.Get().status.ok()) << one.Get().status.ToString();
+  EXPECT_TRUE(one.Get().cache_hit);
+  EXPECT_EQ(InlineRequests(), inline_before);
+  release::ReleaseSession session(points, Box::UnitCube(2), kEpsilon, kSeed);
+  EXPECT_EQ(one.Get().answers,
+            session.Release("kdtree", kEpsilon, spec.options)
+                ->QueryBatch(queries));
+}
+
+TEST(AsyncEngineTest, OneQuerySequenceBatchesWaitForThePool) {
   Rng rng(0x5E0);
   SequenceDataset data(6);
   std::vector<Symbol> row;
@@ -497,31 +529,41 @@ TEST(AsyncEngineTest, InlineSequenceAnswersMatchThePoolPathBitForBit) {
     }
     data.Add(row);
   }
-  std::vector<release::SequenceQuery> queries = {
+  // A TopK walk prunes nothing until it holds k candidates, so even one
+  // sequence query can cost far more than the pool hop.
+  const std::vector<release::SequenceQuery> queries = {
       release::SequenceQuery::Frequency({1}),
-      release::SequenceQuery::Frequency({2, 3}),
-      release::SequenceQuery::PrefixCount({0, 4}),
-      release::SequenceQuery::TopK(3, 2),
+      release::SequenceQuery::TopK(64, 7),
   };
-  serve::ThreadPool pool(2);
+  serve::ThreadPool pool(1);
   serve::SynopsisCache cache(16);
   AsyncEngine engine(release::Dataset(data), pool, cache);
   const FitSpec spec{"pst_privtree", release::MethodOptions::Parse("l_top=8"),
                      kEpsilon, kSeed};
-
   const QueryBatchResponse pooled =
       engine.SubmitSeqQueryBatch(spec, queries).Get();
   ASSERT_TRUE(pooled.status.ok()) << pooled.status.ToString();
+
+  Wedge wedge;
+  wedge.Block(pool);
   const std::uint64_t inline_before = InlineRequests();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    Future<QueryBatchResponse> one =
-        engine.SubmitSeqQueryBatch(spec, {queries[i]});
-    ASSERT_TRUE(one.Ready()) << "query " << i;
-    ASSERT_EQ(one.Get().answers.size(), 1u);
-    EXPECT_EQ(one.Get().answers[0], pooled.answers[i])
-        << "sequence query " << i << " diverged inline";
+  std::vector<Future<QueryBatchResponse>> ones;
+  for (const release::SequenceQuery& q : queries) {
+    ones.push_back(engine.SubmitSeqQueryBatch(spec, {q}));
   }
-  EXPECT_EQ(InlineRequests(), inline_before + queries.size());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::vector<bool> ready;
+  for (const auto& one : ones) ready.push_back(one.Ready());
+  wedge.Release();
+
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_FALSE(ready[i]) << "sequence query " << i << " ran inline";
+    const QueryBatchResponse& one = ones[i].Get();
+    ASSERT_TRUE(one.status.ok()) << one.status.ToString();
+    ASSERT_EQ(one.answers.size(), 1u);
+    EXPECT_EQ(one.answers[0], pooled.answers[i]) << "sequence query " << i;
+  }
+  EXPECT_EQ(InlineRequests(), inline_before);
 }
 
 TEST(AsyncEngineTest, InlineRequestPastItsDeadlineNeverRuns) {
