@@ -2,7 +2,7 @@
 // sampling, Morton counting, PrivTree construction (the library builder
 // and the served Method::Fit), range queries (the single-query descent and
 // the served batch kernel, and one in-process engine request around it),
-// PST construction.
+// the grid batch-query paths one at a time, PST construction.
 // These are engineering benchmarks (not paper artifacts) used to keep the
 // reproduction fast enough for the paper-scale sweeps.
 #include <benchmark/benchmark.h>
@@ -11,12 +11,15 @@
 
 #include "core/privtree.h"
 #include "core/privtree_params.h"
+#include "core/simd.h"
 #include "data/seq_gen.h"
 #include "data/spatial_gen.h"
 #include "dp/budget.h"
 #include "dp/distributions.h"
 #include "dp/rng.h"
 #include "eval/workload.h"
+#include "hist/grid.h"
+#include "hist/grid_kernels.h"
 #include "release/dataset.h"
 #include "release/registry.h"
 #include "release/tree_batch.h"
@@ -183,6 +186,53 @@ void BM_EngineResidentQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EngineResidentQuery)->Arg(1)->Arg(64);
+
+/// One batch of 4000 medium boxes on a noisy 256x256 grid over 40k skewed
+/// 2-d points, through one grid query path alone: 0 = the generic
+/// reference (GridHistogram::QueryBatchReference), 1 = the flat scalar
+/// kernel, 2 = the SIMD kernel.
+void BM_GridQueryBatch(benchmark::State& state) {
+  static const GridHistogram grid = [] {
+    Rng data_rng(0x5EED);
+    PointSet points(2);
+    std::vector<double> p(2);
+    for (std::size_t i = 0; i < 40000; ++i) {
+      p[0] = data_rng.NextDouble() * data_rng.NextDouble();
+      p[1] = data_rng.NextDouble();
+      points.Add(p);
+    }
+    GridHistogram out =
+        GridHistogram::FromPoints(points, Box::UnitCube(2), {256, 256});
+    Rng noise(0xF00D);
+    out.AddLaplaceNoise(2.0, noise);
+    out.BuildPrefixSums();
+    return out;
+  }();
+  Rng query_rng(0xBEEF);
+  const std::vector<Box> queries =
+      GenerateRangeQueries(Box::UnitCube(2), 4000, kMediumQueries, query_rng);
+  const Grid2DView view = grid.KernelView2D();
+  std::vector<double> out(queries.size());
+  if (state.range(0) == 2) state.SetLabel(SimdKernelName());
+  for (auto _ : state) {
+    switch (state.range(0)) {
+      case 0:
+        out = grid.QueryBatchReference(queries);
+        break;
+      case 1:
+        GridQueryBatch2DScalar(view, queries, out.data());
+        break;
+      default:
+        GridQueryBatch2DSimd(view, queries, out.data());
+        break;
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(queries.size()));
+}
+BENCHMARK(BM_GridQueryBatch)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_PrivatePstBuild(benchmark::State& state) {
   Rng data_rng(8);

@@ -1,12 +1,10 @@
-// Shared plumbing for the sequence-data benches (Figures 6, 7 and 12) and
-// the served sequence workloads of bench_table4_runtime.
+// Shared plumbing for the sequence-data benches: the mooc/msnbc dataset
+// generator and the top-k length cap.
 #ifndef PRIVTREE_BENCH_BENCH_SEQ_COMMON_H_
 #define PRIVTREE_BENCH_BENCH_SEQ_COMMON_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -14,7 +12,6 @@
 #include "data/seq_gen.h"
 #include "dp/rng.h"
 #include "eval/runner.h"
-#include "release/sequence_query.h"
 #include "seq/sequence.h"
 
 namespace privtree {
@@ -46,41 +43,6 @@ inline SequenceCase MakeSequenceCase(const std::string& name) {
 /// The candidate-string length cap used for top-k mining (the N-gram
 /// paper's n_max = 5, which the paper adopts).
 inline constexpr std::size_t kTopKMaxLen = 5;
-
-/// A mixed served workload over one sequence dataset: mostly
-/// string-frequency queries on substrings sampled from the data (so the
-/// served path answers realistic grams), with every 4th a prefix-count and
-/// every 16th a top-k spec.  Deterministic given `rng`.
-inline std::vector<release::SequenceQuery> GenerateSequenceQueries(
-    const SequenceDataset& data, std::size_t count, Rng& rng) {
-  PRIVTREE_CHECK(!data.empty());
-  std::vector<release::SequenceQuery> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i % 16 == 15) {
-      out.push_back(release::SequenceQuery::TopK(
-          static_cast<std::uint32_t>(1 + rng.NextBounded(10)),
-          static_cast<std::uint32_t>(1 + rng.NextBounded(3))));
-      continue;
-    }
-    // Sample a non-empty substring of a non-empty sequence.
-    std::span<const Symbol> s;
-    for (std::size_t tries = 0; tries < 64 && s.empty(); ++tries) {
-      s = data.sequence(rng.NextBounded(data.size()));
-    }
-    PRIVTREE_CHECK(!s.empty());
-    const std::size_t len = 1 + rng.NextBounded(std::min<std::size_t>(
-                                    s.size(), kTopKMaxLen));
-    const std::size_t start = rng.NextBounded(s.size() - len + 1);
-    std::vector<Symbol> symbols(s.begin() + start, s.begin() + start + len);
-    out.push_back(i % 4 == 3
-                      ? release::SequenceQuery::PrefixCount(
-                            std::move(symbols))
-                      : release::SequenceQuery::Frequency(
-                            std::move(symbols)));
-  }
-  return out;
-}
 
 }  // namespace bench
 }  // namespace privtree

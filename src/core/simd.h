@@ -28,7 +28,7 @@
 namespace privtree {
 
 /// Name of the vector ISA the kernels were compiled for ("avx2", "sse2"
-/// or "scalar"); surfaced in BENCH_kernels.json.
+/// or "scalar"); bench_micro labels its SIMD grid row with it.
 inline const char* SimdKernelName() {
 #if defined(PRIVTREE_SIMD_AVX2)
   return "avx2";

@@ -62,19 +62,6 @@ std::string DisplayName(const std::string& name) {
   return entry.display.empty() ? name : entry.display;
 }
 
-/// Whether a registry method supports `dim`-dimensional inputs at a
-/// reasonable cost, per the registry's capability metadata: the hard
-/// `required_dim` constraint (AG is 2-d only) and the advisory
-/// `max_practical_dim` cost ceiling (complete hierarchies).
-bool SupportsDim(const std::string& name, std::size_t dim) {
-  const auto& entry = release::GlobalMethodRegistry().Get(name);
-  if (entry.required_dim != 0 && dim != entry.required_dim) return false;
-  if (entry.max_practical_dim != 0 && dim > entry.max_practical_dim) {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 std::vector<MethodSpec> ComparativeLineup(std::size_t dim,
@@ -91,20 +78,6 @@ std::vector<MethodSpec> ComparativeLineup(std::size_t dim,
   out.reserve(order.size());
   for (const std::string& name : order) {
     PRIVTREE_CHECK(release::GlobalMethodRegistry().Contains(name));
-    out.push_back({name, DisplayName(name),
-                   DefaultSpecOptions(name, discretization_cells)});
-  }
-  return out;
-}
-
-std::vector<MethodSpec> AllRegisteredSpecs(std::size_t dim,
-                                           std::int64_t discretization_cells) {
-  std::vector<MethodSpec> out;
-  // Spatial lineups only: the sequence-kind methods (pst_privtree, ngram)
-  // cannot fit a PointSet — they get their own sweeps (SequenceSpecs).
-  for (const std::string& name : release::GlobalMethodRegistry().Names(
-           release::DatasetKind::kSpatial)) {
-    if (!SupportsDim(name, dim)) continue;
     out.push_back({name, DisplayName(name),
                    DefaultSpecOptions(name, discretization_cells)});
   }

@@ -59,13 +59,6 @@ struct MethodSpec {
 std::vector<MethodSpec> ComparativeLineup(std::size_t dim,
                                           std::int64_t discretization_cells);
 
-/// Every spatial-kind method in the global registry that can fit
-/// `dim`-dimensional data (AG is restricted to 2-d), in registry
-/// (sorted-name) order, with the same discretization defaults as
-/// ComparativeLineup.
-std::vector<MethodSpec> AllRegisteredSpecs(std::size_t dim,
-                                           std::int64_t discretization_cells);
-
 /// Every sequence-kind method in the global registry (pst_privtree,
 /// ngram), in registry order, each configured with the public length cap
 /// `l_top` of the swept dataset.

@@ -59,8 +59,7 @@ class MethodRegistry {
     std::size_t max_dim = 0;  ///< Largest input dim supported; 0 = any.
     /// Largest dimensionality the method is practical at (cost grows too
     /// fast beyond it — e.g. complete hierarchies); 0 = no limit.
-    /// Evaluation lineups use it to decide inclusion; it is advisory, not
-    /// enforced at Fit.
+    /// Advisory metadata for evaluation lineups, not enforced at Fit.
     std::size_t max_practical_dim = 0;
     MethodFactory factory;
     /// Payload codec for LoadMethod; null means the backend's synopses

@@ -20,7 +20,7 @@
 // except Shutdown; a Fit is a pure function of its spec and registration
 // is idempotent by content — and stop when the retry budget's deadline
 // would pass.  A reconnect starts a fresh server session (a new session
-// ε budget); telemetry() counts retries/reconnects for chaos benches.
+// ε budget); telemetry() counts retries/reconnects for chaos tests.
 #ifndef PRIVTREE_SERVER_CLIENT_H_
 #define PRIVTREE_SERVER_CLIENT_H_
 

@@ -4,12 +4,13 @@
 // serving; mid-frame connection resets and torn frames must be absorbed by
 // the client's reconnect + resend discipline with zero failed requests; a
 // stuck fit must be failed by the engine watchdog instead of wedging its
-// reply slot; and a closed-loop client must survive a full server-loop
-// restart transparently.  Every scenario asserts bit-for-bit parity with
-// the in-process ReleaseSession oracle — chaos may slow answers down, but
-// it must never change them.
+// reply slot; and four concurrent closed-loop clients must survive a full
+// server-loop restart transparently.  Every scenario asserts bit-for-bit
+// parity with the in-process ReleaseSession oracle — chaos may slow answers
+// down, but it must never change them.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -264,6 +265,12 @@ TEST_F(ChaosTest, StuckFitIsFailedByTheWatchdogNotWedged) {
 }
 
 TEST_F(ChaosTest, ClosedLoopClientSurvivesServerRestartWithZeroFailures) {
+  // Four resilient clients run closed loops concurrently; every one of them
+  // finishes its first phase, the serving loop restarts on the same port
+  // while they all hold (now dead) connections, and the second phase forces
+  // each through reconnect + resend.
+  constexpr std::size_t kClients = 4;
+  constexpr int kRoundsPerPhase = 15;
   const PointSet points = TestPoints();
   const std::vector<Box> queries = TestQueries();
   serve::ThreadPool pool(4);
@@ -282,45 +289,81 @@ TEST_F(ChaosTest, ClosedLoopClientSurvivesServerRestartWithZeroFailures) {
                                           EventLoopOptions{});
   std::thread serving([&loop] { EXPECT_TRUE(loop->Run().ok()); });
 
-  ClientOptions options;
-  options.max_attempts = 10;
-  options.base_backoff_millis = 20;
-  auto connected = Client::Connect("127.0.0.1", port, options);
-  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
-  Client client = std::move(connected).value();
-
-  std::size_t failed = 0;
-  for (int i = 0; i < 30; ++i) {
-    if (i == 15) {
-      // Restart the serving loop on the same port mid-run; the registry,
-      // cache, and dispatcher survive (a front-end bounce, the common
-      // deployment restart).
-      loop->Stop();
-      serving.join();
-      auto relisten = ListenSocket::Listen(port);
-      ASSERT_TRUE(relisten.ok()) << relisten.status().ToString();
-      loop = std::make_unique<EventLoop>(dispatcher,
-                                         std::move(relisten).value(),
-                                         EventLoopOptions{});
-      serving = std::thread([&loop] { EXPECT_TRUE(loop->Run().ok()); });
-    }
-    const std::uint64_t seed = 1 + (i % 3);
-    const FitSpec spec{"ug", {}, kEpsilon, seed};
-    auto answers = client.QueryBatch(spec, queries);
-    if (!answers.ok()) {
-      ++failed;
-      ADD_FAILURE() << "request " << i << ": "
-                    << answers.status().ToString();
-      continue;
-    }
-    EXPECT_EQ(answers.value(), OracleAnswers(points, "ug", seed, queries))
-        << "request " << i << " diverged across the restart";
+  std::vector<std::vector<double>> oracle;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    oracle.push_back(OracleAnswers(points, "ug", seed, queries));
   }
-  EXPECT_EQ(failed, 0u);
-  EXPECT_GE(client.telemetry().reconnects, 1u);
 
+  std::atomic<std::size_t> at_barrier{0};
+  std::atomic<bool> restarted{false};
+  std::atomic<std::size_t> failed{0};
+  std::vector<Client::Telemetry> telemetry(kClients);
+  std::vector<std::thread> workers;
+  for (std::size_t w = 0; w < kClients; ++w) {
+    workers.emplace_back([&, w] {
+      ClientOptions options;
+      options.max_attempts = 10;
+      options.base_backoff_millis = 20;
+      options.backoff_seed = 0xC4A05 + w;
+      auto connected = Client::Connect("127.0.0.1", port, options);
+      if (!connected.ok()) {
+        ADD_FAILURE() << connected.status().ToString();
+        failed += 2 * kRoundsPerPhase;
+        ++at_barrier;
+        return;
+      }
+      Client client = std::move(connected).value();
+      const auto run_phase = [&](int first) {
+        for (int i = first; i < first + kRoundsPerPhase; ++i) {
+          const std::uint64_t seed = 1 + (i + w) % 3;
+          auto answers =
+              client.QueryBatch({"ug", {}, kEpsilon, seed}, queries);
+          if (!answers.ok()) {
+            ++failed;
+            ADD_FAILURE() << "client " << w << " request " << i << ": "
+                          << answers.status().ToString();
+            continue;
+          }
+          EXPECT_EQ(answers.value(), oracle[seed - 1])
+              << "client " << w << " request " << i
+              << " diverged across the restart";
+        }
+      };
+      run_phase(0);
+      ++at_barrier;
+      while (!restarted.load()) std::this_thread::yield();
+      run_phase(kRoundsPerPhase);
+      telemetry[w] = client.telemetry();
+    });
+  }
+
+  // Restart the serving loop on the same port once every client is between
+  // its phases; the registry, cache, and dispatcher survive (a front-end
+  // bounce, the common deployment restart).
+  while (at_barrier.load() < kClients) std::this_thread::yield();
   loop->Stop();
   serving.join();
+  auto relisten = ListenSocket::Listen(port);
+  if (relisten.ok()) {
+    loop = std::make_unique<EventLoop>(dispatcher,
+                                       std::move(relisten).value(),
+                                       EventLoopOptions{});
+    serving = std::thread([&loop] { EXPECT_TRUE(loop->Run().ok()); });
+  } else {
+    ADD_FAILURE() << relisten.status().ToString();
+  }
+  restarted.store(true);
+  for (std::thread& worker : workers) worker.join();
+
+  EXPECT_EQ(failed.load(), 0u);
+  for (std::size_t w = 0; w < kClients; ++w) {
+    EXPECT_GE(telemetry[w].reconnects, 1u) << "client " << w;
+  }
+
+  if (serving.joinable()) {
+    loop->Stop();
+    serving.join();
+  }
 }
 
 }  // namespace

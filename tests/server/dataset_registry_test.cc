@@ -5,13 +5,17 @@
 // exhausting its per-session ε budget fails cleanly while other clients
 // keep serving, and a tenant too wide for a method's index or an upload
 // with an unusable domain is refused with a Status instead of aborting the
-// server.
+// server.  One scale test holds 256 connections open at once over a
+// spatial + sequence tenant mix and checks every answer bit for bit.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -21,9 +25,11 @@
 #include "dp/status.h"
 #include "eval/workload.h"
 #include "release/dataset.h"
+#include "release/session.h"
 #include "seq/sequence.h"
 #include "serve/synopsis_cache.h"
 #include "serve/thread_pool.h"
+#include "server/admission.h"
 #include "server/client.h"
 #include "server/dataset_registry.h"
 #include "server/dispatcher.h"
@@ -290,6 +296,117 @@ TEST_F(MultiTenantFixture, UnusableDomainIsRefusedNotFatal) {
   // The server still answers, on the same connection and on a new one.
   EXPECT_TRUE(client.Fit({"privtree", {}, kEpsilon, kSeed}).ok());
   EXPECT_TRUE(MustConnect().Stats().ok());
+}
+
+TEST_F(MultiTenantFixture, ManyConcurrentConnectionsServeMixedTrafficExactly) {
+  // 256 connections open at once (8 client threads x 32 clients), each
+  // sending 3 requests that alternate a box QueryBatch on a spatial tenant
+  // and a SeqQueryBatch on a sequence tenant.  Every answer must be the
+  // in-process ReleaseSession answer, bit for bit, and the server must
+  // admit every request and shed none.
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kClientsPerThread = 32;
+  constexpr std::size_t kConnections = kThreads * kClientsPerThread;
+  constexpr std::size_t kRounds = 3;
+
+  // Both ends of every connection live in this process.
+  rlimit fds{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &fds), 0);
+  if (fds.rlim_cur < 600) {
+    fds.rlim_cur = fds.rlim_max;
+    ::setrlimit(RLIMIT_NOFILE, &fds);
+  }
+
+  Rng rng(0x5EC5);
+  SequenceDataset sequences(4);
+  for (int i = 0; i < 200; ++i) {
+    std::vector<Symbol> s;
+    for (std::size_t j = 0; j < 1 + rng.NextBounded(6); ++j) {
+      s.push_back(static_cast<Symbol>(rng.NextBounded(4)));
+    }
+    sequences.Add(s);
+  }
+  auto registered = registry_->Register("clicks", sequences);
+  ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+  const std::uint64_t seq_fp = registered.value();
+
+  const FitSpec box_spec{"privtree", {}, kEpsilon, kSeed};
+  release::MethodOptions seq_options;
+  seq_options.Set("l_top", "6");
+  const FitSpec seq_spec{"pst_privtree", seq_options, kEpsilon, kSeed};
+  const std::vector<Box> boxes = TestQueries();
+  const std::vector<release::SequenceQuery> seq_queries = {
+      release::SequenceQuery::Frequency({0, 1}),
+      release::SequenceQuery::PrefixCount({2}),
+      release::SequenceQuery::Frequency({3})};
+  const std::vector<double> left_want =
+      release::ReleaseSession(*left_, Box::UnitCube(2), kEpsilon, kSeed)
+          .Release(box_spec.method, kEpsilon)
+          ->QueryBatch(boxes);
+  const std::vector<double> right_want =
+      release::ReleaseSession(*right_, Box::UnitCube(2), kEpsilon, kSeed)
+          .Release(box_spec.method, kEpsilon)
+          ->QueryBatch(boxes);
+  const std::vector<double> seq_want =
+      release::ReleaseSession(sequences, kEpsilon, kSeed)
+          .Release(seq_spec.method, kEpsilon, seq_options)
+          ->QueryBatch(std::span(seq_queries));
+
+  std::atomic<std::size_t> ready{0};
+  std::atomic<std::size_t> exact{0};
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<Client> clients;
+      for (std::size_t c = 0; c < kClientsPerThread; ++c) {
+        auto client = Client::Connect("127.0.0.1", port_);
+        if (!client.ok()) {
+          ADD_FAILURE() << client.status().ToString();
+          break;
+        }
+        clients.push_back(std::move(client).value());
+      }
+      // Hold every connection open until all of them are up.
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t c = 0; c < clients.size(); ++c) {
+          const std::size_t id = t * kClientsPerThread + c;
+          const bool box = (id + round) % 2 == 0;
+          const bool left = id % 2 == 0;
+          const std::vector<double>& want =
+              !box ? seq_want : (left ? left_want : right_want);
+          Client& client = clients[c];
+          client.SelectDataset(!box ? seq_fp : (left ? left_fp_ : right_fp_));
+          const auto got = box ? client.QueryBatch(box_spec, boxes)
+                               : client.SeqQueryBatch(seq_spec, seq_queries);
+          if (!got.ok()) {
+            ADD_FAILURE() << "connection " << id << " round " << round
+                          << ": " << got.status().ToString();
+          } else if (got.value() != want) {
+            ADD_FAILURE() << "connection " << id << " round " << round
+                          << " diverged from ReleaseSession";
+          } else {
+            ++exact;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+
+  EXPECT_EQ(exact.load(), kConnections * kRounds);
+  EXPECT_GE(loop_->stats().max_concurrent, kConnections);
+  std::size_t admitted = 0;
+  std::size_t shed = 0;
+  for (const std::uint64_t fp : {left_fp_, right_fp_, seq_fp}) {
+    const AdmissionController::Stats stats =
+        registry_->Find(fp)->Stats().admission;
+    admitted += stats.admitted;
+    shed += stats.shed_queue_full + stats.shed_cache_saturated;
+  }
+  EXPECT_EQ(admitted, kConnections * kRounds);
+  EXPECT_EQ(shed, 0u);
 }
 
 /// Budget-capped sessions: Σε ≤ 2 per connection.
