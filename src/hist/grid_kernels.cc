@@ -94,149 +94,21 @@ void GridQueryBatch2DScalar(const Grid2DView& g, std::span<const Box> queries,
   }
 }
 
-#if defined(PRIVTREE_SIMD_AVX2)
+#if defined(PRIVTREE_SIMD_SSE2)
 
 namespace {
 
-// One lattice coordinate for 4 queries: integer base cells + fractions.
-struct Coord4 {
-  __m128i base;  // int32 ×4
-  __m256d frac;
-};
-
-// Vector version of the per-dimension block of Cdf.  std::clamp(t, 0, m)
-// keeps t on ties, so the max/min operand order below (mask constant first)
-// reproduces it exactly; truncation == floor for the clamped t >= 0; the
-// top-edge fixup subtracts an exact 1.0 under the ge mask.
-inline Coord4 CdfCoord4(__m256d x, __m256d dlo, __m256d w, __m256d md) {
-  __m256d t = _mm256_mul_pd(_mm256_div_pd(_mm256_sub_pd(x, dlo), w), md);
-  t = _mm256_max_pd(_mm256_setzero_pd(), t);
-  t = _mm256_min_pd(md, t);
-  __m256d integral = _mm256_cvtepi32_pd(_mm256_cvttpd_epi32(t));
-  const __m256d ge = _mm256_cmp_pd(integral, md, _CMP_GE_OQ);
-  integral = _mm256_sub_pd(integral, _mm256_and_pd(ge, _mm256_set1_pd(1.0)));
-  Coord4 c;
-  c.base = _mm256_cvttpd_epi32(integral);
-  c.frac = _mm256_sub_pd(t, integral);
-  return c;
-}
-
-// Bilinear CDF value for 4 queries at one corner pair.  The scalar
-// `if (weight != 0) value += weight * p` becomes a NEQ_UQ-masked add; the
-// accumulator can never be -0.0 (it starts at +0.0 and IEEE addition only
-// yields -0.0 from two -0.0 inputs), so adding a masked-out +0.0 term is
-// bit-identical to skipping it.
-inline __m256d CdfValue4(const Grid2DView& g, const Coord4& c0,
-                         const Coord4& c1) {
-  const __m128i s0 = _mm_set1_epi32(static_cast<int>(g.stride0));
-  const __m128i i00 = _mm_add_epi32(_mm_mullo_epi32(c0.base, s0), c1.base);
-  const __m128i i10 = _mm_add_epi32(i00, s0);
-  const __m128i one = _mm_set1_epi32(1);
-  const __m256d p00 = _mm256_i32gather_pd(g.prefix, i00, 8);
-  const __m256d p10 = _mm256_i32gather_pd(g.prefix, i10, 8);
-  const __m256d p01 = _mm256_i32gather_pd(g.prefix, _mm_add_epi32(i00, one), 8);
-  const __m256d p11 = _mm256_i32gather_pd(g.prefix, _mm_add_epi32(i10, one), 8);
-  const __m256d ones = _mm256_set1_pd(1.0);
-  const __m256d om0 = _mm256_sub_pd(ones, c0.frac);
-  const __m256d om1 = _mm256_sub_pd(ones, c1.frac);
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d value = zero;
-  __m256d wgt = _mm256_mul_pd(om0, om1);
-  value = _mm256_add_pd(
-      value, _mm256_and_pd(_mm256_cmp_pd(wgt, zero, _CMP_NEQ_UQ),
-                           _mm256_mul_pd(wgt, p00)));
-  wgt = _mm256_mul_pd(c0.frac, om1);
-  value = _mm256_add_pd(
-      value, _mm256_and_pd(_mm256_cmp_pd(wgt, zero, _CMP_NEQ_UQ),
-                           _mm256_mul_pd(wgt, p10)));
-  wgt = _mm256_mul_pd(om0, c1.frac);
-  value = _mm256_add_pd(
-      value, _mm256_and_pd(_mm256_cmp_pd(wgt, zero, _CMP_NEQ_UQ),
-                           _mm256_mul_pd(wgt, p01)));
-  wgt = _mm256_mul_pd(c0.frac, c1.frac);
-  value = _mm256_add_pd(
-      value, _mm256_and_pd(_mm256_cmp_pd(wgt, zero, _CMP_NEQ_UQ),
-                           _mm256_mul_pd(wgt, p11)));
-  return value;
-}
-
-// The contiguous and indexed batches share this loop; `box_at(i)` is either
-// queries[i] or queries[idx[i]].
-template <typename BoxAt>
-inline void Batch4Impl(const Grid2DView& g, std::size_t n, BoxAt box_at,
-                       double* answers) {
-  const __m256d dlo0 = _mm256_set1_pd(g.dlo0);
-  const __m256d dhi0 = _mm256_set1_pd(g.dhi0);
-  const __m256d dlo1 = _mm256_set1_pd(g.dlo1);
-  const __m256d dhi1 = _mm256_set1_pd(g.dhi1);
-  const __m256d w0 = _mm256_set1_pd(g.w0);
-  const __m256d w1 = _mm256_set1_pd(g.w1);
-  const __m256d m0 = _mm256_set1_pd(g.m0d);
-  const __m256d m1 = _mm256_set1_pd(g.m1d);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const Box& a = box_at(i);
-    const Box& b = box_at(i + 1);
-    const Box& c = box_at(i + 2);
-    const Box& d = box_at(i + 3);
-    // std::max(q, dom) returns q on ties; _mm_max_pd(x, y) returns y on
-    // ties — so the domain bound rides in the first operand.
-    const __m256d lo0 = _mm256_max_pd(
-        dlo0, _mm256_set_pd(d.lo(0), c.lo(0), b.lo(0), a.lo(0)));
-    const __m256d hi0 = _mm256_min_pd(
-        dhi0, _mm256_set_pd(d.hi(0), c.hi(0), b.hi(0), a.hi(0)));
-    const __m256d lo1 = _mm256_max_pd(
-        dlo1, _mm256_set_pd(d.lo(1), c.lo(1), b.lo(1), a.lo(1)));
-    const __m256d hi1 = _mm256_min_pd(
-        dhi1, _mm256_set_pd(d.hi(1), c.hi(1), b.hi(1), a.hi(1)));
-    const __m256d valid =
-        _mm256_and_pd(_mm256_cmp_pd(lo0, hi0, _CMP_LT_OQ),
-                      _mm256_cmp_pd(lo1, hi1, _CMP_LT_OQ));
-    const Coord4 clo0 = CdfCoord4(lo0, dlo0, w0, m0);
-    const Coord4 chi0 = CdfCoord4(hi0, dlo0, w0, m0);
-    const Coord4 clo1 = CdfCoord4(lo1, dlo1, w1, m1);
-    const Coord4 chi1 = CdfCoord4(hi1, dlo1, w1, m1);
-    const __m256d plus = _mm256_set1_pd(1.0);
-    const __m256d minus = _mm256_set1_pd(-1.0);
-    __m256d ans = _mm256_setzero_pd();
-    ans = _mm256_add_pd(ans, _mm256_mul_pd(plus, CdfValue4(g, clo0, clo1)));
-    ans = _mm256_add_pd(ans, _mm256_mul_pd(minus, CdfValue4(g, chi0, clo1)));
-    ans = _mm256_add_pd(ans, _mm256_mul_pd(minus, CdfValue4(g, clo0, chi1)));
-    ans = _mm256_add_pd(ans, _mm256_mul_pd(plus, CdfValue4(g, chi0, chi1)));
-    // Degenerate-overlap lanes return exactly +0.0, like the early return.
-    ans = _mm256_and_pd(valid, ans);
-    _mm256_storeu_pd(answers + i, ans);
-  }
-  for (; i < n; ++i) answers[i] = GridQueryOne2D(g, box_at(i));
-}
-
-}  // namespace
-
-void GridQueryBatch2DSimd(const Grid2DView& g, std::span<const Box> queries,
-                          double* answers) {
-  Batch4Impl(
-      g, queries.size(),
-      [&](std::size_t i) -> const Box& { return queries[i]; }, answers);
-}
-
-void GridQueryBatch2DSimdIdx(const Grid2DView& g, const Box* queries,
-                             const std::uint32_t* idx, std::size_t n,
-                             double* answers) {
-  Batch4Impl(
-      g, n, [&](std::size_t i) -> const Box& { return queries[idx[i]]; },
-      answers);
-}
-
-#elif defined(PRIVTREE_SIMD_SSE2)
-
-namespace {
-
+// One lattice coordinate for 2 queries: integer base cells + fractions.
 struct Coord2 {
   int base0;  // Integer base cell, lane 0 / lane 1.
   int base1;
   __m128d frac;
 };
 
+// Vector version of the per-dimension block of Cdf.  std::clamp(t, 0, m)
+// keeps t on ties, so the max/min operand order below (mask constant first)
+// reproduces it exactly; truncation == floor for the clamped t >= 0; the
+// top-edge fixup subtracts an exact 1.0 under the ge mask.
 inline Coord2 CdfCoord2(__m128d x, __m128d dlo, __m128d w, __m128d md) {
   __m128d t = _mm_mul_pd(_mm_div_pd(_mm_sub_pd(x, dlo), w), md);
   t = _mm_max_pd(_mm_setzero_pd(), t);
@@ -252,6 +124,11 @@ inline Coord2 CdfCoord2(__m128d x, __m128d dlo, __m128d w, __m128d md) {
   return c;
 }
 
+// Bilinear CDF value for 2 queries at one corner pair.  The scalar
+// `if (weight != 0) value += weight * p` becomes a NEQ-masked add; the
+// accumulator can never be -0.0 (it starts at +0.0 and IEEE addition only
+// yields -0.0 from two -0.0 inputs), so adding a masked-out +0.0 term is
+// bit-identical to skipping it.
 inline __m128d CdfValue2(const Grid2DView& g, const Coord2& c0,
                          const Coord2& c1) {
   const double* r0 = g.prefix + static_cast<std::size_t>(c0.base0) * g.stride0 +
@@ -282,11 +159,10 @@ inline __m128d CdfValue2(const Grid2DView& g, const Coord2& c0,
   return value;
 }
 
-// The contiguous and indexed batches share this loop; `box_at(i)` is either
-// queries[i] or queries[idx[i]].
-template <typename BoxAt>
-inline void Batch2Impl(const Grid2DView& g, std::size_t n, BoxAt box_at,
-                       double* answers) {
+}  // namespace
+
+void GridQueryBatch2DSimd(const Grid2DView& g, std::span<const Box> queries,
+                          double* answers) {
   const __m128d dlo0 = _mm_set1_pd(g.dlo0);
   const __m128d dhi0 = _mm_set1_pd(g.dhi0);
   const __m128d dlo1 = _mm_set1_pd(g.dlo1);
@@ -295,10 +171,13 @@ inline void Batch2Impl(const Grid2DView& g, std::size_t n, BoxAt box_at,
   const __m128d w1 = _mm_set1_pd(g.w1);
   const __m128d m0 = _mm_set1_pd(g.m0d);
   const __m128d m1 = _mm_set1_pd(g.m1d);
+  const std::size_t n = queries.size();
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
-    const Box& a = box_at(i);
-    const Box& b = box_at(i + 1);
+    const Box& a = queries[i];
+    const Box& b = queries[i + 1];
+    // std::max(q, dom) returns q on ties; _mm_max_pd(x, y) returns y on
+    // ties — so the domain bound rides in the first operand.
     const __m128d lo0 = _mm_max_pd(dlo0, _mm_set_pd(b.lo(0), a.lo(0)));
     const __m128d hi0 = _mm_min_pd(dhi0, _mm_set_pd(b.hi(0), a.hi(0)));
     const __m128d lo1 = _mm_max_pd(dlo1, _mm_set_pd(b.lo(1), a.lo(1)));
@@ -316,42 +195,18 @@ inline void Batch2Impl(const Grid2DView& g, std::size_t n, BoxAt box_at,
     ans = _mm_add_pd(ans, _mm_mul_pd(minus, CdfValue2(g, chi0, clo1)));
     ans = _mm_add_pd(ans, _mm_mul_pd(minus, CdfValue2(g, clo0, chi1)));
     ans = _mm_add_pd(ans, _mm_mul_pd(plus, CdfValue2(g, chi0, chi1)));
+    // Degenerate-overlap lanes return exactly +0.0, like the early return.
     ans = _mm_and_pd(valid, ans);
     _mm_storeu_pd(answers + i, ans);
   }
-  for (; i < n; ++i) answers[i] = GridQueryOne2D(g, box_at(i));
+  for (; i < n; ++i) answers[i] = GridQueryOne2D(g, queries[i]);
 }
 
-}  // namespace
-
-void GridQueryBatch2DSimd(const Grid2DView& g, std::span<const Box> queries,
-                          double* answers) {
-  Batch2Impl(
-      g, queries.size(),
-      [&](std::size_t i) -> const Box& { return queries[i]; }, answers);
-}
-
-void GridQueryBatch2DSimdIdx(const Grid2DView& g, const Box* queries,
-                             const std::uint32_t* idx, std::size_t n,
-                             double* answers) {
-  Batch2Impl(
-      g, n, [&](std::size_t i) -> const Box& { return queries[idx[i]]; },
-      answers);
-}
-
-#else  // No vector ISA: the "SIMD" entry points are the scalar kernel.
+#else  // No vector ISA: the "SIMD" entry point is the scalar kernel.
 
 void GridQueryBatch2DSimd(const Grid2DView& g, std::span<const Box> queries,
                           double* answers) {
   GridQueryBatch2DScalar(g, queries, answers);
-}
-
-void GridQueryBatch2DSimdIdx(const Grid2DView& g, const Box* queries,
-                             const std::uint32_t* idx, std::size_t n,
-                             double* answers) {
-  for (std::size_t j = 0; j < n; ++j) {
-    answers[j] = GridQueryOne2D(g, queries[idx[j]]);
-  }
 }
 
 #endif

@@ -6,8 +6,8 @@
 // (the paper's datasets, AG's sub-grids), so these kernels restructure that
 // path into a flat structure-of-arrays view (Grid2DView: raw lattice
 // pointer + unpacked domain scalars) with the d = 2 case fully unrolled,
-// and a SIMD batch variant (core/simd.h: AVX2 4-wide / SSE2 2-wide, `#if`
-// selected) that evaluates several queries per instruction stream.
+// and a SIMD batch variant (core/simd.h: SSE2 2-wide, `#if` selected) that
+// evaluates two queries per instruction stream.
 //
 // Bit-for-bit contract: every kernel — scalar one-shot, scalar batch, SIMD
 // batch — returns answers identical to GridHistogram::QueryImpl on the
@@ -21,7 +21,6 @@
 #define PRIVTREE_HIST_GRID_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -48,19 +47,10 @@ double GridQueryOne2D(const Grid2DView& g, const Box& q);
 void GridQueryBatch2DScalar(const Grid2DView& g, std::span<const Box> queries,
                             double* answers);
 
-/// Vectorized batch (AVX2/SSE2 when compiled in, scalar otherwise);
-/// bitwise equal to the scalar batch.
+/// Vectorized batch (SSE2 when compiled in, scalar otherwise); bitwise
+/// equal to the scalar batch.
 void GridQueryBatch2DSimd(const Grid2DView& g, std::span<const Box> queries,
                           double* answers);
-
-/// Indexed vectorized batch: answers[j] = GridQueryOne2D(g, queries[idx[j]])
-/// for j in [0, n), same ISA selection and bitwise contract as the
-/// contiguous batch.  For callers that stage scattered (query, grid)
-/// visits — e.g. grouping many queries' boundary cells by sub-grid —
-/// without copying Box objects; duplicate indices are fine.
-void GridQueryBatch2DSimdIdx(const Grid2DView& g, const Box* queries,
-                             const std::uint32_t* idx, std::size_t n,
-                             double* answers);
 
 }  // namespace privtree
 

@@ -10,7 +10,8 @@ namespace {
 // The three Box predicates of the descent on raw bound arrays.  Each
 // mirrors its Box member operand for operand: the query is the receiver of
 // Intersects and ContainsBox, the node of IntersectionVolume, exactly as
-// SpatialHistogram::Query calls them.
+// SpatialHistogram::Query calls them.  Descend<D> inlines them with `dim`
+// a compile-time constant for D > 0, so the loops unroll.
 
 inline bool QueryIntersectsNode(const double* qlo, const double* qhi,
                                 const double* lo, const double* hi,
@@ -67,6 +68,8 @@ TreeBatchIndex::TreeBatchIndex(std::size_t dim,
     if (v == 0) continue;
     const NodeId p = parents[v];
     PRIVTREE_CHECK(p >= 0 && static_cast<std::size_t>(p) < v);
+    // Non-decreasing parents make each node's children one id range.
+    PRIVTREE_CHECK(v == 1 || p >= parents[v - 1]);
     depth[v] = depth[p] + 1;
     height_ = std::max(height_, depth[v]);
     ++child_offset_[p + 1];
@@ -75,13 +78,6 @@ TreeBatchIndex::TreeBatchIndex(std::size_t dim,
   for (std::size_t v = 0; v < n_; ++v) {
     max_children = std::max(max_children, child_offset_[v + 1]);
     child_offset_[v + 1] += child_offset_[v];
-  }
-  // Ascending v keeps each node's children in id order.
-  child_ids_.resize(n_ - 1);
-  std::vector<std::uint32_t> next(child_offset_.begin(),
-                                  child_offset_.end() - 1);
-  for (std::size_t v = 1; v < n_; ++v) {
-    child_ids_[next[parents[v]]++] = static_cast<NodeId>(v);
   }
   // A node at depth k is popped with at most k * (max_children - 1)
   // siblings of its ancestors still pending, and internal nodes sit at
@@ -94,43 +90,66 @@ TreeBatchIndex::TreeBatchIndex(std::size_t dim,
 std::vector<double> TreeBatchIndex::Query(std::span<const Box> queries) const {
   std::vector<double> answers(queries.size(), 0.0);
   if (n_ == 0 || queries.empty()) return answers;
-  std::vector<NodeId> stack(stack_bound_);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    PRIVTREE_CHECK_EQ(queries[i].dim(), dim_);
-    answers[i] = Descend(queries[i], stack.data());
+  switch (dim_) {
+    case 1: Descend<1>(queries, answers.data()); break;
+    case 2: Descend<2>(queries, answers.data()); break;
+    case 3: Descend<3>(queries, answers.data()); break;
+    case 4: Descend<4>(queries, answers.data()); break;
+    case 5: Descend<5>(queries, answers.data()); break;
+    case 6: Descend<6>(queries, answers.data()); break;
+    case 7: Descend<7>(queries, answers.data()); break;
+    case 8: Descend<8>(queries, answers.data()); break;
+    default: Descend<0>(queries, answers.data()); break;
   }
   return answers;
 }
 
-double TreeBatchIndex::Descend(const Box& q, NodeId* stack) const {
-  const double* qlo = q.lo().data();
-  const double* qhi = q.hi().data();
-  double ans = 0.0;
-  std::size_t top = 0;
-  stack[top++] = 0;  // The root.
-  while (top > 0) {
-    const auto v = static_cast<std::size_t>(stack[--top]);
-    const double* lo = &bounds_[2 * dim_ * v];
-    const double* hi = lo + dim_;
-    if (!QueryIntersectsNode(qlo, qhi, lo, hi, dim_)) continue;  // Disjoint.
-    if (QueryContainsNode(qlo, qhi, lo, hi, dim_)) {  // Fully contained.
-      ans += count_[v];
-      continue;
+template <std::size_t D>
+void TreeBatchIndex::Descend(std::span<const Box> queries,
+                             double* answers) const {
+  const std::size_t dim = D == 0 ? dim_ : D;
+  const std::size_t stride = 2 * dim;
+  const double* bounds = bounds_.data();
+  std::vector<NodeId> stack(stack_bound_);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const Box& q = queries[i];
+    PRIVTREE_CHECK_EQ(q.dim(), dim_);
+    const double* qlo = q.lo().data();
+    const double* qhi = q.hi().data();
+    // Only cells that intersect the box are ever pushed, so a popped node
+    // is never disjoint.
+    if (!QueryIntersectsNode(qlo, qhi, bounds, bounds + dim, dim)) continue;
+    double ans = 0.0;
+    std::size_t top = 0;
+    stack[top++] = 0;  // The root.
+    while (top > 0) {
+      const auto v = static_cast<std::size_t>(stack[--top]);
+      const double* lo = bounds + stride * v;
+      const double* hi = lo + dim;
+      if (QueryContainsNode(qlo, qhi, lo, hi, dim)) {  // Fully contained.
+        ans += count_[v];
+        continue;
+      }
+      const std::size_t first = child_offset_[v] + 1;
+      const std::size_t last = child_offset_[v + 1] + 1;
+      if (first != last) {  // Partial, internal: push the children it meets.
+        for (std::size_t c = first; c < last; ++c) {
+          const double* clo = bounds + stride * c;
+          if (QueryIntersectsNode(qlo, qhi, clo, clo + dim, dim)) {
+            stack[top++] = static_cast<NodeId>(c);
+          }
+        }
+        continue;
+      }
+      // Partial leaf: uniformity assumption inside the cell.
+      const double volume = volume_[v];
+      if (volume > 0.0) {
+        ans += count_[v] *
+               (NodeIntersectionVolume(lo, hi, qlo, qhi, dim) / volume);
+      }
     }
-    const std::uint32_t first = child_offset_[v];
-    const std::uint32_t last = child_offset_[v + 1];
-    if (first != last) {  // Partial, internal.
-      for (std::uint32_t c = first; c < last; ++c) stack[top++] = child_ids_[c];
-      continue;
-    }
-    // Partial leaf: uniformity assumption inside the cell.
-    const double volume = volume_[v];
-    if (volume > 0.0) {
-      ans += count_[v] *
-             (NodeIntersectionVolume(lo, hi, qlo, qhi, dim_) / volume);
-    }
+    answers[i] = ans;
   }
-  return ans;
 }
 
 }  // namespace privtree::release

@@ -8,22 +8,34 @@
 // TreeBatchIndex runs that descent over the tree's flat layout:
 // node-major bounds (lo[0..d) then hi[0..d) for each node, so one node's
 // box is one contiguous run of doubles), the released counts, precomputed
-// leaf volumes and CSR child lists.  Query reuses one explicit stack, sized
-// from the tree's shape, for every box of the batch.
+// leaf volumes and CSR child offsets.  Query reuses one explicit stack,
+// sized from the tree's shape, for every box of the batch.
+//
+// Every producer writes nodes breadth-first, so parent ids are
+// non-decreasing (the flat constructor checks it, and the payload decoder
+// refuses a body that breaks it) and node v's children are the contiguous
+// ids child_offset[v] + 1 .. child_offset[v + 1]: no child id list.
 //
 // The spatial tree family (privtree, simpletree) never builds a DecompTree
 // on the served path: its fit kernel (spatial/flat_fit.h) and its payload
 // decoder (spatial/serialization.h) produce the parent links, bounds and
 // counts, and the flat constructor moves them in.  The DecompTree
 // constructor is an adapter onto it, for kdtree and for the library
-// histograms.
+// histograms, whose FIFO builders also number nodes breadth-first.
 //
 // The descent mirrors SpatialHistogram::Query and KdTreeHistogram::Query
-// step for step: children are pushed in CSR order (id order, which is
-// AddChild order) and the last one is popped first, and the Box predicates
-// run with the same operands in the same order.  The answers are therefore
-// bit-identical to those single-query descents, which stay as the library
-// API and are the kernel's test oracle.
+// with one filter: a child disjoint from the box is never pushed (the root
+// is tested once before the loop), where the library pushes it and drops
+// it when popped.  A disjoint cell adds nothing, and the children that are
+// pushed keep CSR order (id order, which is AddChild order) with the last
+// one popped first, so the cells that add to the answer are added in the
+// same order, and the Box predicates run with the same operands.  The
+// answers are therefore bit-identical to those single-query descents,
+// which stay as the library API and are the kernel's test oracle.
+//
+// The descent is one template over the dimension D, dispatched on dim()
+// for D = 1..8 so the box tests unroll; D = 0 reads the dimension at run
+// time (kdtree releases above 8 dims).
 #ifndef PRIVTREE_RELEASE_TREE_BATCH_H_
 #define PRIVTREE_RELEASE_TREE_BATCH_H_
 
@@ -50,9 +62,10 @@ class TreeBatchIndex {
   /// (kInvalidNode for the root, node 0; otherwise a smaller id),
   /// `bounds` holds each node's lo[0..dim) then hi[0..dim), node-major, and
   /// `counts` the released count per node.  Bounds and counts are moved
-  /// in; the leaf volumes, CSR child lists (children in id order) and the
-  /// descent's stack bound are derived from them.  No parents means an
-  /// empty index.
+  /// in; the leaf volumes, CSR child offsets and the descent's stack bound
+  /// are derived from them.  The parents must be non-decreasing from node 1
+  /// on (breadth-first order), so each node's children are consecutive
+  /// ids.  No parents means an empty index.
   TreeBatchIndex(std::size_t dim, std::span<const NodeId> parents,
                  std::vector<double> bounds, std::vector<double> counts);
 
@@ -79,7 +92,10 @@ class TreeBatchIndex {
   std::vector<double> Query(std::span<const Box> queries) const;
 
  private:
-  double Descend(const Box& q, NodeId* stack) const;
+  /// Writes the answer to each of `queries` to `answers`; D is dim(), or
+  /// 0 to read dim() at run time.
+  template <std::size_t D>
+  void Descend(std::span<const Box> queries, double* answers) const;
 
   std::size_t n_ = 0;
   std::size_t dim_ = 0;
@@ -88,8 +104,9 @@ class TreeBatchIndex {
   std::vector<double> bounds_;  // Node-major: lo at [2*dim*v], hi after it.
   std::vector<double> count_;   // Released count per node id.
   std::vector<double> volume_;  // Precomputed Box::Volume per node.
-  std::vector<std::uint32_t> child_offset_;  // CSR offsets, n_ + 1 entries.
-  std::vector<NodeId> child_ids_;            // Children in id order.
+  // CSR offsets, n_ + 1 entries: node v's children are the ids
+  // child_offset_[v] + 1 .. child_offset_[v + 1].
+  std::vector<std::uint32_t> child_offset_;
 };
 
 }  // namespace privtree::release

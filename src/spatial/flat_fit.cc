@@ -112,6 +112,10 @@ std::size_t Decompose(const MortonIndex& index, const Box& domain,
 struct FitMetrics {
   obs::Histogram& tree_nodes =
       obs::Registry::Global().GetHistogram("spatial.tree_nodes");
+  obs::Histogram& nodes_split =
+      obs::Registry::Global().GetHistogram("spatial.nodes_split");
+  obs::Histogram& tree_height =
+      obs::Registry::Global().GetHistogram("spatial.tree_height");
   obs::Histogram& decompose_us =
       obs::Registry::Global().GetHistogram("spatial.decompose_us");
   obs::Histogram& count_release_us =
@@ -121,6 +125,13 @@ struct FitMetrics {
 FitMetrics& Metrics() {
   static FitMetrics metrics;
   return metrics;
+}
+
+/// The shape of one fit: its node count, splits and height.
+void ObserveShape(const DecompositionStats& stats) {
+  Metrics().tree_nodes.Observe(stats.nodes_visited);
+  Metrics().nodes_split.Observe(stats.nodes_split);
+  Metrics().tree_height.Observe(static_cast<std::uint64_t>(stats.height));
 }
 
 }  // namespace
@@ -178,7 +189,7 @@ FlatSpatialTree FitPrivTreeFlat(const MortonIndex& index, const Box& domain,
 
   tree.stats.nodes_visited = n;
   tree.stats.height = nodes.back().depth;  // Breadth-first: deepest last.
-  Metrics().tree_nodes.Observe(n);
+  ObserveShape(tree.stats);
   return tree;
 }
 
@@ -209,7 +220,7 @@ FlatSpatialTree FitSimpleTreeFlat(const MortonIndex& index, const Box& domain,
 
   tree.stats.nodes_visited = nodes.size();
   tree.stats.height = nodes.back().depth;
-  Metrics().tree_nodes.Observe(nodes.size());
+  ObserveShape(tree.stats);
   return tree;
 }
 

@@ -199,8 +199,12 @@ Status ReadTreeBodyCompressed(ByteReader& in, std::size_t dim,
   if ((*parents)[0] != kInvalidNode) {
     return Status::InvalidArgument("tree body: root must have parent -1");
   }
+  // Breadth-first order: each parent precedes its node, and parents never
+  // decrease, so every node's children are one contiguous id range (the
+  // invariant TreeBatchIndex reads the tree by).
   for (std::uint64_t i = 1; i < nodes; ++i) {
-    if ((*parents)[i] < 0 || static_cast<std::uint64_t>((*parents)[i]) >= i) {
+    if ((*parents)[i] < 0 || static_cast<std::uint64_t>((*parents)[i]) >= i ||
+        (i > 1 && (*parents)[i] < (*parents)[i - 1])) {
       return Status::InvalidArgument("tree body: bad parent at node " +
                                      std::to_string(i));
     }

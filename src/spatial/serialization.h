@@ -55,7 +55,9 @@ bool ReadBox(ByteReader& in, std::size_t dim, Box* out, std::string* error);
 ///
 /// The codec works on the flat layout of release::TreeBatchIndex:
 /// `parents[v]` (kInvalidNode for the root, node 0; otherwise a smaller
-/// id), node-major `bounds` (lo[0..dim) then hi[0..dim) per node) and one
+/// id, and non-decreasing in v: breadth-first order, so each node's
+/// children are consecutive ids; reading refuses any other order),
+/// node-major `bounds` (lo[0..dim) then hi[0..dim) per node) and one
 /// count per node.  Writing requires at least one node.  On an error the
 /// read leaves its outputs in an unspecified state.
 void WriteTreeBodyCompressed(ByteWriter& out, std::size_t dim,

@@ -30,6 +30,7 @@
 #include "seq/sequence.h"
 #include "spatial/box.h"
 #include "spatial/point_set.h"
+#include "spatial/serialization.h"
 
 namespace privtree::release {
 namespace {
@@ -225,6 +226,38 @@ TEST_F(CompressedPayloadCorruptionTest, EveryBitFlipFailsCleanly) {
       EXPECT_FALSE(loaded.ok()) << "bit flip at byte " << pos << " loaded";
     }
   }
+}
+
+TEST_F(CompressedPayloadCorruptionTest,
+       OutOfOrderParentLinksFailCleanly) {
+  // A valid-checksum privtree envelope around a tree body whose parents
+  // each precede their node but are not breadth-first (node 3's parent 0
+  // comes after node 2's parent 1).  The query index reads a node's
+  // children as one id range, so the decoder must refuse the body with a
+  // Status rather than hand it to the index's constructor.
+  ParsedEnvelope hostile = ParseV3(envelopes_[0]);
+  ASSERT_EQ(hostile.metadata.method, "privtree");
+  ASSERT_EQ(hostile.metadata.dim, 2u);
+  const std::vector<NodeId> parents = {kInvalidNode, 0, 1, 0};
+  const std::vector<double> bounds = {
+      0.0, 0.0, 1.0,  1.0,   // Root.
+      0.0, 0.0, 0.5,  1.0,   // Its left half.
+      0.0, 0.0, 0.25, 1.0,   // The left half's left half.
+      0.5, 0.0, 1.0,  1.0};  // The root's right half.
+  const std::vector<double> counts = {10.0, 6.0, 2.0, 4.0};
+  hostile.payload.clear();
+  ByteWriter w(&hostile.payload);
+  WriteTreeBodyCompressed(w, 2, parents, bounds, counts);
+  std::ostringstream out;
+  ASSERT_TRUE(WriteSynopsis(out, hostile.metadata, hostile.options_text,
+                            hostile.payload)
+                  .ok());
+  auto loaded = LoadFromString(std::move(out).str());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("bad parent at node 3"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST_F(CompressedPayloadCorruptionTest,

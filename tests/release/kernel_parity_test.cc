@@ -1,7 +1,8 @@
 // The bit-for-bit contract of the batch-query kernels.  Every specialized
 // path — the flat 2-d grid kernels (scalar and SIMD), the flattened tree
 // descent (TreeBatchIndex, against SpatialHistogram::Query and
-// KdTreeHistogram::Query), AG's kernel-view boundary path — must answer
+// KdTreeHistogram::Query, in every dimension it is compiled for and the
+// run-time one), AG's kernel-view boundary path — must answer
 // exactly like its reference implementation on every input, including
 // degenerate and adversarial boxes, and must stay deterministic under
 // concurrent callers.  Parity is EXPECT_EQ on doubles throughout: "close"
@@ -96,26 +97,6 @@ TEST(GridKernelParityTest, ScalarAndSimdMatchQueryAndReferenceBitwise) {
       EXPECT_EQ(simd[i], want) << "query " << i;
       EXPECT_EQ(GridQueryOne2D(view, queries[i]), want) << "query " << i;
     }
-  }
-}
-
-TEST(GridKernelParityTest, IndexedBatchMatchesOneShotOnScatteredIndices) {
-  // The AG boundary path feeds the kernel scattered, duplicated query
-  // indices; every answer must equal the one-shot kernel on that query.
-  const GridHistogram grid = NoisyGrid(16, 48, 0x1DB0);
-  const Grid2DView view = grid.KernelView2D();
-  const std::vector<Box> queries = AdversarialQueries(100, 0x1D0);
-  Rng rng(0x1D1);
-  std::vector<std::uint32_t> idx;
-  for (std::size_t j = 0; j < 777; ++j) {
-    idx.push_back(static_cast<std::uint32_t>(rng.NextBounded(
-        static_cast<std::uint64_t>(queries.size()))));
-  }
-  std::vector<double> got(idx.size());
-  GridQueryBatch2DSimdIdx(view, queries.data(), idx.data(), idx.size(),
-                          got.data());
-  for (std::size_t j = 0; j < idx.size(); ++j) {
-    EXPECT_EQ(got[j], GridQueryOne2D(view, queries[idx[j]])) << "slot " << j;
   }
 }
 
@@ -248,6 +229,40 @@ TEST(TreeBatchIndexParityTest, MatchesTheDescentOnThreeDimensionalTrees) {
   }
 }
 
+TEST(TreeBatchIndexParityTest, MatchesTheDescentInEveryCompiledDimension) {
+  // The descent is compiled per dimension for d = 1..8; d = 4..8 here,
+  // each as a full quadtree (fanout 2^d) and a binary round-robin tree,
+  // with boundary boxes from about 100 of each tree's cells.
+  for (std::size_t dim = 4; dim <= 8; ++dim) {
+    const PointSet points = TestPoints(1000, 0x4D0 + dim, dim);
+    for (const int dims_per_split : {0, 1}) {
+      SCOPED_TRACE(testing::Message() << "dim " << dim << ", dims_per_split "
+                                      << dims_per_split);
+      PrivTreeHistogramOptions options;
+      options.dims_per_split = dims_per_split;
+      Rng rng(0x4D1 + dim);
+      const SpatialHistogram hist = BuildPrivTreeHistogram(
+          points, Box::UnitCube(dim), 1.0, options, rng);
+      ASSERT_GE(hist.tree.Height(), 1);
+      std::vector<Box> queries = MixedQueries(dim, 300, 0x4D2 + dim);
+      const std::vector<Box> cells =
+          CellBoundaryQueries(hist, hist.tree.size() / 100 + 1);
+      queries.insert(queries.end(), cells.begin(), cells.end());
+      ExpectTreeKernelMatchesDescent(hist, queries);
+    }
+  }
+}
+
+TEST(TreeBatchIndexParityTest, MatchesTheDescentOnARootOnlyTree) {
+  Rng rng(0x2071);
+  SimpleTreeHistogramOptions options;
+  options.height = 1;  // The root is the only level.
+  const SpatialHistogram hist = BuildSimpleTreeHistogram(
+      TestPoints(500, 0x2070), Box::UnitCube(2), 1.0, options, rng);
+  ASSERT_EQ(hist.tree.size(), 1u);
+  ExpectTreeKernelMatchesDescentOnMixedQueries(hist, 2, 0x2072);
+}
+
 TEST(TreeBatchIndexParityTest, MatchesTheDescentAtEveryBatchSize) {
   // One stack serves every box of a batch; no box may see state left over
   // from the one before it, at any batch size.
@@ -269,23 +284,41 @@ TEST(TreeBatchIndexParityTest, MatchesTheDescentAtEveryBatchSize) {
   }
 }
 
-TEST(TreeBatchIndexParityTest, MatchesTheDescentOnKdTrees) {
-  const PointSet points = TestPoints(3000, 0x1D);
-  Rng rng(0x1D1);
-  KdTreeOptions options;
-  options.height = 6;
-  const KdTreeHistogram kd(points, Box::UnitCube(2), 1.0, options, rng);
-  const auto box_of = [](const Box& b) -> const Box& { return b; };
-  std::vector<Box> queries = AdversarialQueries(250, 0x1D2);
-  for (std::size_t v = 0; v < kd.tree().size(); v += 3) {
+/// The kernel equals KdTreeHistogram::Query bit for bit on `queries` and
+/// on every `stride`-th cell of the tree.
+void ExpectKdKernelMatchesDescent(const KdTreeHistogram& kd,
+                                  std::vector<Box> queries,
+                                  std::size_t stride) {
+  for (std::size_t v = 0; v < kd.tree().size(); v += stride) {
     queries.push_back(kd.tree().node(static_cast<NodeId>(v)).domain);
   }
+  const auto box_of = [](const Box& b) -> const Box& { return b; };
   const release::TreeBatchIndex index(kd.tree(), kd.counts(), box_of);
   const std::vector<double> got = index.Query(queries);
   ASSERT_EQ(got.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(got[i], kd.Query(queries[i])) << "query " << i;
   }
+}
+
+TEST(TreeBatchIndexParityTest, MatchesTheDescentOnKdTrees) {
+  const PointSet points = TestPoints(3000, 0x1D);
+  Rng rng(0x1D1);
+  KdTreeOptions options;
+  options.height = 6;
+  const KdTreeHistogram kd(points, Box::UnitCube(2), 1.0, options, rng);
+  ExpectKdKernelMatchesDescent(kd, AdversarialQueries(250, 0x1D2), 3);
+}
+
+TEST(TreeBatchIndexParityTest, MatchesTheDescentOnATenDimensionalKdTree) {
+  // Above 8 dims the descent reads the dimension at run time.
+  constexpr std::size_t kDim = 10;
+  Rng rng(0x10D1);
+  KdTreeOptions options;
+  options.height = 9;
+  const KdTreeHistogram kd(TestPoints(4000, 0x10D0, kDim),
+                           Box::UnitCube(kDim), 1.0, options, rng);
+  ExpectKdKernelMatchesDescent(kd, MixedQueries(kDim, 300, 0x10D2), 5);
 }
 
 TEST(TreeBatchIndexParityTest, EmptyIndexAnswersZero) {
@@ -305,6 +338,16 @@ TEST(TreeBatchIndexDeathTest, RejectsABoxOfTheWrongDimension) {
   const std::vector<Box> wide = {Box::UnitCube(3)};
   EXPECT_DEATH((void)index.Query(narrow), "PRIVTREE_CHECK");
   EXPECT_DEATH((void)index.Query(wide), "PRIVTREE_CHECK");
+}
+
+TEST(TreeBatchIndexDeathTest, RejectsParentsOutOfBreadthFirstOrder) {
+  // Each parent precedes its node, but node 3's parent (0) comes after
+  // node 2's (1), so node 0's children are not one id range.
+  const std::vector<NodeId> parents = {kInvalidNode, 0, 1, 0};
+  EXPECT_DEATH(release::TreeBatchIndex(
+                   1, parents, {0.0, 1.0, 0.0, 0.5, 0.0, 0.25, 0.5, 1.0},
+                   {10.0, 6.0, 2.0, 4.0}),
+               "PRIVTREE_CHECK");
 }
 
 TEST(AdaptiveGridParityTest, QueryBatchMatchesReferenceBitwise) {

@@ -19,6 +19,7 @@
 #include "core/byteio.h"
 #include "core/codec.h"
 #include "dp/rng.h"
+#include "obs/metrics.h"
 #include "spatial/box.h"
 #include "spatial/flat_fit.h"
 #include "spatial/morton_index.h"
@@ -155,6 +156,45 @@ TEST(FlatFitTest, SimpleTreeMatchesOracleForEveryDimAndSplitWidth) {
       ExpectSimpleTreeParity(points, 2.0, options, 11 * dim + dims);
     }
   }
+}
+
+/// One call of `fit` (returning its stats) moves each shape histogram's
+/// count by exactly 1, by the value the stats report.
+template <typename Fit>
+void ExpectShapeObservedOnce(Fit fit) {
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Histogram& nodes = registry.GetHistogram("spatial.tree_nodes");
+  obs::Histogram& splits = registry.GetHistogram("spatial.nodes_split");
+  obs::Histogram& height = registry.GetHistogram("spatial.tree_height");
+  const std::uint64_t nodes_count = nodes.Count();
+  const std::uint64_t nodes_sum = nodes.SumMicros();
+  const std::uint64_t splits_count = splits.Count();
+  const std::uint64_t splits_sum = splits.SumMicros();
+  const std::uint64_t height_count = height.Count();
+  const std::uint64_t height_sum = height.SumMicros();
+  const DecompositionStats stats = fit();
+  ASSERT_GT(stats.nodes_split, 0u);
+  EXPECT_EQ(nodes.Count() - nodes_count, 1u);
+  EXPECT_EQ(nodes.SumMicros() - nodes_sum, stats.nodes_visited);
+  EXPECT_EQ(splits.Count() - splits_count, 1u);
+  EXPECT_EQ(splits.SumMicros() - splits_sum, stats.nodes_split);
+  EXPECT_EQ(height.Count() - height_count, 1u);
+  EXPECT_EQ(height.SumMicros() - height_sum,
+            static_cast<std::uint64_t>(stats.height));
+}
+
+TEST(FlatFitTest, EachFitObservesItsShapeOnce) {
+  const PointSet points = SkewedPoints(3000, 2, 0x5A);
+  const Box domain = Box::UnitCube(2);
+  const MortonIndex index(points, domain);
+  ExpectShapeObservedOnce([&] {
+    Rng rng(0x5B);
+    return FitPrivTreeFlat(index, domain, 1.0, {}, rng).stats;
+  });
+  ExpectShapeObservedOnce([&] {
+    Rng rng(0x5C);
+    return FitSimpleTreeFlat(index, domain, 1.0, {}, rng).stats;
+  });
 }
 
 TEST(FlatFitTest, EmptyDatasetMatchesOracle) {
