@@ -11,7 +11,6 @@
 
 #include "core/privtree.h"
 #include "core/privtree_params.h"
-#include "core/simd.h"
 #include "data/seq_gen.h"
 #include "data/spatial_gen.h"
 #include "dp/budget.h"
@@ -221,8 +220,8 @@ BENCHMARK(BM_EngineResidentQuery)->Arg(1)->Arg(64);
 
 /// One batch of 4000 medium boxes on a noisy 256x256 grid over 40k skewed
 /// 2-d points, through one grid query path alone: 0 = the generic
-/// reference (GridHistogram::QueryBatchReference), 1 = the flat scalar
-/// kernel, 2 = the SIMD kernel.
+/// reference (GridHistogram::QueryBatchReference), 1 = the flat kernel
+/// (GridHistogram::QueryBatch's path).
 void BM_GridQueryBatch(benchmark::State& state) {
   static const GridHistogram grid = [] {
     Rng data_rng(0x5EED);
@@ -245,18 +244,11 @@ void BM_GridQueryBatch(benchmark::State& state) {
       GenerateRangeQueries(Box::UnitCube(2), 4000, kMediumQueries, query_rng);
   const Grid2DView view = grid.KernelView2D();
   std::vector<double> out(queries.size());
-  if (state.range(0) == 2) state.SetLabel(SimdKernelName());
   for (auto _ : state) {
-    switch (state.range(0)) {
-      case 0:
-        out = grid.QueryBatchReference(queries);
-        break;
-      case 1:
-        GridQueryBatch2DScalar(view, queries, out.data());
-        break;
-      default:
-        GridQueryBatch2DSimd(view, queries, out.data());
-        break;
+    if (state.range(0) == 0) {
+      out = grid.QueryBatchReference(queries);
+    } else {
+      GridQueryBatch2DScalar(view, queries, out.data());
     }
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
@@ -264,7 +256,7 @@ void BM_GridQueryBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(queries.size()));
 }
-BENCHMARK(BM_GridQueryBatch)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_GridQueryBatch)->Arg(0)->Arg(1);
 
 void BM_PrivatePstBuild(benchmark::State& state) {
   Rng data_rng(8);

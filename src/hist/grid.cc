@@ -193,7 +193,7 @@ std::vector<double> GridHistogram::QueryBatch(
   std::vector<double> answers(queries.size(), 0.0);
   for (const Box& q : queries) PRIVTREE_CHECK_EQ(q.dim(), dim());
   if (dim() == 2) {
-    GridQueryBatch2DSimd(KernelView2D(), queries, answers.data());
+    GridQueryBatch2DScalar(KernelView2D(), queries, answers.data());
     return answers;
   }
   for (std::size_t i = 0; i < queries.size(); ++i) {

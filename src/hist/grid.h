@@ -62,7 +62,7 @@ class GridHistogram {
 
   /// Answers many boxes in one allocation-free pass over the query list;
   /// each answer is bit-for-bit identical to Query on the same box.  On 2-d
-  /// grids this runs the vectorized kernel (hist/grid_kernels.h).
+  /// grids this runs the flat kernel (hist/grid_kernels.h).
   std::vector<double> QueryBatch(std::span<const Box> queries) const;
 
   /// The original generic-dimension batch path, kept as the parity oracle

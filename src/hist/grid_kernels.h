@@ -1,19 +1,16 @@
-// Specialized 2-d batch-query kernels over a grid prefix-sum lattice.
+// Specialized 2-d query kernels over a grid prefix-sum lattice.
 //
 // GridHistogram::QueryImpl is generic over the dimension: per query it runs
 // 2^d-corner inclusion-exclusion with mask loops, per-dimension branches
 // and a heap-held Box on every access.  Almost every served grid is 2-d
 // (the paper's datasets, AG's sub-grids), so these kernels restructure that
 // path into a flat structure-of-arrays view (Grid2DView: raw lattice
-// pointer + unpacked domain scalars) with the d = 2 case fully unrolled,
-// and a SIMD batch variant (core/simd.h: SSE2 2-wide, `#if` selected) that
-// evaluates two queries per instruction stream.
+// pointer + unpacked domain scalars) with the d = 2 case fully unrolled.
+// The batch is the one-shot kernel in a loop; there is no vector variant.
 //
-// Bit-for-bit contract: every kernel — scalar one-shot, scalar batch, SIMD
-// batch — returns answers identical to GridHistogram::QueryImpl on the
-// same box, on every input.  The vector code mirrors the scalar operation
-// order exactly (no FMA, no reassociation; the `weight != 0` guard becomes
-// a mask so skipped terms still never perturb the accumulator), and
+// Bit-for-bit contract: the one-shot kernel and the batch return answers
+// identical to GridHistogram::QueryImpl on the same box, on every input
+// (same operation order, no FMA, no reassociation), and
 // tests/release/kernel_parity_test.cc fuzzes the equivalence.  This is
 // what lets AG's summed-area-table boundary path and the grid family's
 // QueryBatch adopt the kernels with unchanged released answers.
@@ -46,11 +43,6 @@ double GridQueryOne2D(const Grid2DView& g, const Box& q);
 /// Scalar batch: GridQueryOne2D over the span, answers written in order.
 void GridQueryBatch2DScalar(const Grid2DView& g, std::span<const Box> queries,
                             double* answers);
-
-/// Vectorized batch (SSE2 when compiled in, scalar otherwise); bitwise
-/// equal to the scalar batch.
-void GridQueryBatch2DSimd(const Grid2DView& g, std::span<const Box> queries,
-                          double* answers);
 
 }  // namespace privtree
 

@@ -14,16 +14,6 @@ double PrivateMedianSplit(const std::vector<double>& values, double lo,
   return PrivateQuantile(values, 0.5, lo, hi, epsilon, rng);
 }
 
-KdTreeHistogram KdTreeHistogram::Restore(DecompTree<Box> tree,
-                                         std::vector<double> counts) {
-  PRIVTREE_CHECK(!tree.empty());
-  PRIVTREE_CHECK_EQ(tree.size(), counts.size());
-  KdTreeHistogram hist;
-  hist.tree_ = std::move(tree);
-  hist.count_ = std::move(counts);
-  return hist;
-}
-
 KdTreeHistogram::KdTreeHistogram(const PointSet& points, const Box& domain,
                                  double epsilon, const KdTreeOptions& options,
                                  Rng& rng) {

@@ -75,20 +75,21 @@ double ParseCountQuantum(const MethodOptions& o) {
   return o.GetDouble("count_quantum", 0.0);
 }
 
-/// Shared body of the spatial tree family (PrivTree, SimpleTree).  A fitted
-/// or loaded release is kept as what serving reads: the query index and the
-/// encoded payload.  Fit and load both produce the flat layout the index
-/// is built from (spatial/flat_fit.h, ReadTreeBodyCompressed), so no
-/// DecompTree is ever built here, and Save is a copy, not an encode.
+/// Shared body of the spatial tree family (PrivTree, SimpleTree, KD).  A
+/// fitted or loaded release is kept as what serving reads: the query index
+/// and the payload encoded once.  Fit and load both produce the flat layout
+/// the index is built from (Build, ReadTreeBodyCompressed), and Save is a
+/// copy, not an encode.  PrivTree and SimpleTree fit straight into that
+/// layout (spatial/flat_fit.h) over the dataset's shared Morton index, so
+/// only the first tree fit of a dataset builds it.  kdtree's Build fits the
+/// library's KdTreeHistogram, a DecompTree that dies when Build returns,
+/// and flattens it.
 class SpatialTreeMethod : public BuiltinMethod {
  public:
-  /// Fits over the dataset's shared index, so only the first tree fit of a
-  /// dataset builds it.
   void Fit(const Dataset& data, PrivacyBudget& budget, Rng& rng) final {
     PRIVTREE_CHECK(!state_.fitted);
     state_ = {true, data.dim(), budget.SpendRemaining()};
-    FlatSpatialTree tree = Build(data.morton_index(), data.domain(),
-                                 state_.epsilon_spent, rng);
+    FlatSpatialTree tree = Build(data, state_.epsilon_spent, rng);
     const auto start = std::chrono::steady_clock::now();
     for (double& c : tree.count) c = QuantizeCount(c, count_quantum_);
     ByteWriter w(&payload_);
@@ -136,10 +137,9 @@ class SpatialTreeMethod : public BuiltinMethod {
         batch_(std::move(batch)),
         payload_(std::move(payload)) {}
 
-  /// The method's fit kernel, run over an index of `domain` with the whole
-  /// ε.
-  virtual FlatSpatialTree Build(const MortonIndex& index, const Box& domain,
-                                double epsilon, Rng& rng) const = 0;
+  /// The method's fit kernel, run over `data` with the whole ε.
+  virtual FlatSpatialTree Build(const Dataset& data, double epsilon,
+                                Rng& rng) const = 0;
 
   MethodMetadata TreeMetadata(std::string name) const {
     return {std::move(name), state_.dim, state_.epsilon_spent, batch_.size(),
@@ -165,9 +165,10 @@ class PrivTreeMethod final : public SpatialTreeMethod {
   MethodMetadata Metadata() const override { return TreeMetadata("privtree"); }
 
  private:
-  FlatSpatialTree Build(const MortonIndex& index, const Box& domain,
-                        double epsilon, Rng& rng) const override {
-    return FitPrivTreeFlat(index, domain, epsilon, options_, rng);
+  FlatSpatialTree Build(const Dataset& data, double epsilon,
+                        Rng& rng) const override {
+    return FitPrivTreeFlat(data.morton_index(), data.domain(), epsilon,
+                           options_, rng);
   }
 
   PrivTreeHistogramOptions options_;
@@ -188,9 +189,10 @@ class SimpleTreeMethod final : public SpatialTreeMethod {
   }
 
  private:
-  FlatSpatialTree Build(const MortonIndex& index, const Box& domain,
-                        double epsilon, Rng& rng) const override {
-    return FitSimpleTreeFlat(index, domain, epsilon, options_, rng);
+  FlatSpatialTree Build(const Dataset& data, double epsilon,
+                        Rng& rng) const override {
+    return FitSimpleTreeFlat(data.morton_index(), data.domain(), epsilon,
+                             options_, rng);
   }
 
   SimpleTreeHistogramOptions options_;
@@ -393,61 +395,17 @@ class AdaptiveGridMethod final : public BuiltinMethod {
   std::optional<AdaptiveGrid> grid_;
 };
 
-class KdTreeMethod final : public BuiltinMethod {
+/// The private k-d tree ([51]): a baseline with no flat fit kernel.
+class KdTreeMethod final : public SpatialTreeMethod {
  public:
   explicit KdTreeMethod(const MethodOptions& o)
-      : BuiltinMethod(o),
-        options_(ParseOptions(o)),
-        count_quantum_(ParseCountQuantum(o)) {}
+      : SpatialTreeMethod(o), options_(ParseOptions(o)) {}
 
-  KdTreeMethod(const SynopsisEnvelope& env, KdTreeHistogram hist)
-      : BuiltinMethod(env),
-        options_(ParseOptions(MethodOptions::Parse(env.options_text))),
-        count_quantum_(
-            ParseCountQuantum(MethodOptions::Parse(env.options_text))) {
-    tree_.emplace(std::move(hist));
-    RebuildBatchIndex();
-  }
+  KdTreeMethod(const SynopsisEnvelope& env, TreeBatchIndex batch,
+               std::string payload)
+      : SpatialTreeMethod(env, std::move(batch), std::move(payload)) {}
 
-  void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
-           Rng& rng) override {
-    PRIVTREE_CHECK(!state_.fitted);
-    state_ = {true, domain.dim(), budget.SpendRemaining()};
-    tree_.emplace(points, domain, state_.epsilon_spent, options_, rng);
-    if (count_quantum_ > 0.0) {
-      DecompTree<Box> tree = tree_->tree();
-      std::vector<double> counts = tree_->counts();
-      for (double& c : counts) c = QuantizeCount(c, count_quantum_);
-      tree_.emplace(
-          KdTreeHistogram::Restore(std::move(tree), std::move(counts)));
-    }
-    RebuildBatchIndex();
-  }
-
-  double Query(const Box& q) const override {
-    PRIVTREE_CHECK(state_.fitted);
-    return batch_.Query({&q, 1}).front();
-  }
-
-  std::vector<double> QueryBatch(std::span<const Box> queries) const override {
-    PRIVTREE_CHECK(state_.fitted);
-    return batch_.Query(queries);
-  }
-
-  MethodMetadata Metadata() const override {
-    return {"kdtree", state_.dim, state_.epsilon_spent,
-            tree_ ? tree_->tree().size() : 0,
-            tree_ ? tree_->tree().Height() : 0};
-  }
-
-  Status Save(std::ostream& out) const override {
-    if (!state_.fitted) return NotFitted();
-    std::string payload;
-    ByteWriter w(&payload);
-    WriteBoxTreeBodyCompressed(w, tree_->tree(), tree_->counts(),
-                               count_quantum_);
-    return SaveSynopsis(out, payload);
-  }
+  MethodMetadata Metadata() const override { return TreeMetadata("kdtree"); }
 
  private:
   static KdTreeOptions ParseOptions(const MethodOptions& o) {
@@ -459,15 +417,17 @@ class KdTreeMethod final : public BuiltinMethod {
     return out;
   }
 
-  void RebuildBatchIndex() {
-    batch_ = TreeBatchIndex(tree_->tree(), tree_->counts(),
-                            [](const Box& b) -> const Box& { return b; });
+  /// Splits on the points themselves, so it never builds the dataset's
+  /// Morton index.
+  FlatSpatialTree Build(const Dataset& data, double epsilon,
+                        Rng& rng) const override {
+    const KdTreeHistogram kd(data.points(), data.domain(), epsilon, options_,
+                             rng);
+    return FlattenTree(kd.tree(), kd.counts(),
+                       [](const Box& b) -> const Box& { return b; });
   }
 
   KdTreeOptions options_;
-  double count_quantum_ = 0.0;
-  std::optional<KdTreeHistogram> tree_;
-  TreeBatchIndex batch_;
 };
 
 class HierarchyMethod final : public BuiltinMethod {
@@ -543,7 +503,7 @@ MethodFactory FactoryFor() {
   };
 }
 
-/// Loader for the spatial tree family (PrivTree, SimpleTree): the
+/// Loader for the spatial tree family (PrivTree, SimpleTree, KD): the
 /// compressed tree body decodes straight into the query index's flat
 /// layout, bit for bit, and the method keeps the body's bytes for Save.
 template <typename T>
@@ -575,19 +535,6 @@ MethodLoader GridLoaderFor() {
     return std::unique_ptr<Method>(
         std::make_unique<T>(env, std::move(grid).value()));
   };
-}
-
-Result<std::unique_ptr<Method>> LoadKdTree(const SynopsisEnvelope& env,
-                                           ByteReader& payload) {
-  DecompTree<Box> tree;
-  std::vector<double> counts;
-  if (Status s = ReadBoxTreeBodyCompressed(payload, env.metadata.dim, &tree,
-                                           &counts);
-      !s.ok()) {
-    return s;
-  }
-  return std::unique_ptr<Method>(std::make_unique<KdTreeMethod>(
-      env, KdTreeHistogram::Restore(std::move(tree), std::move(counts))));
 }
 
 Result<std::unique_ptr<Method>> LoadAdaptiveGrid(const SynopsisEnvelope& env,
@@ -729,8 +676,12 @@ void RegisterBuiltinMethods(MethodRegistry& registry) {
        .allowed_keys = {{"height", kInt, 1, 64},
                         {"split_budget_fraction", kDouble, 0, 1, true},
                         {"count_quantum", kDouble, 0, kInf}},
+       // The tree body works at any dim; this is the widest domain a
+       // served dataset can declare (server/protocol.cc), so LoadMethod
+       // reads back every kdtree release the server can spill.
+       .max_dim = 64,
        .factory = FactoryFor<KdTreeMethod>(),
-       .loader = LoadKdTree});
+       .loader = SpatialTreeLoaderFor<KdTreeMethod>()});
   registry.Register(
       "dawa",
       {.description = "data-aware partition + hierarchical measurement "

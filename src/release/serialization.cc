@@ -158,11 +158,14 @@ Result<std::unique_ptr<Method>> LoadMethod(std::istream& in,
     return Status::InvalidArgument("synopsis: method \"" + name +
                                    "\" has no registered loader");
   }
-  // `dim` is kind-relative: spatial methods fit 1..8-dimensional domains;
-  // sequence methods report the alphabet size.  The bound is checked only
-  // after the registry lookup names the kind.
+  // `dim` is kind-relative: spatial methods fit domains of up to their
+  // entry's max_dim axes, or 8 when it declares none (the grid family's
+  // cap); sequence methods report the alphabet size.  The bound is checked
+  // only after the registry lookup names the kind.
   const std::uint64_t max_dim =
-      entry.kind == DatasetKind::kSequence ? kMaxAlphabetSize : 8;
+      entry.kind == DatasetKind::kSequence ? kMaxAlphabetSize
+      : entry.max_dim != 0                 ? entry.max_dim
+                                           : 8;
   if (dim == 0 || dim > max_dim) {
     return Status::InvalidArgument("synopsis: bad dimensionality " +
                                    std::to_string(dim));

@@ -16,11 +16,12 @@
 // refuses a body that breaks it) and node v's children are the contiguous
 // ids child_offset[v] + 1 .. child_offset[v + 1]: no child id list.
 //
-// The spatial tree family (privtree, simpletree) never builds a DecompTree
-// on the served path: its fit kernel (spatial/flat_fit.h) and its payload
-// decoder (spatial/serialization.h) produce the parent links, bounds and
-// counts, and the flat constructor moves them in.  The DecompTree
-// constructor is an adapter onto it, for kdtree and for the library
+// Every served tree release (privtree, simpletree, kdtree) reaches the
+// index through the flat constructor: its fit (spatial/flat_fit.h, or
+// FlattenTree on kdtree's transient DecompTree) and its payload decoder
+// (spatial/serialization.h) produce the parent links, bounds and counts,
+// and the constructor moves them in.  The DecompTree constructor is an
+// adapter onto it that only tests and bench_micro use, for the library
 // histograms, whose FIFO builders also number nodes breadth-first.
 //
 // The descent mirrors SpatialHistogram::Query and KdTreeHistogram::Query
@@ -70,7 +71,8 @@ class TreeBatchIndex {
                  std::vector<double> bounds, std::vector<double> counts);
 
   /// Flattens `tree` (`box_of` maps a node's Domain to its geometric Box)
-  /// and takes ownership of the released counts, indexed by node id.
+  /// and takes ownership of the released counts, indexed by node id.  Only
+  /// tests and bench_micro index a library DecompTree this way.
   template <typename Domain, typename BoxOf>
   TreeBatchIndex(const DecompTree<Domain>& tree, std::vector<double> count,
                  BoxOf&& box_of) {

@@ -53,8 +53,9 @@ struct FlatSpatialTree {
 
 /// The flat layout of a box-domain DecompTree (`box_of` maps a node's
 /// Domain to its Box) with `counts`, its count per node; stats stay empty.
-/// The adapter through which DecompTree-based releases (the library
-/// histograms, kdtree) reach the flat codec and query index.
+/// The adapter through which a DecompTree reaches the flat codec and query
+/// index: kdtree's served fit (its DecompTree lives only inside the fit)
+/// and, in tests and bench_micro, the library histograms.
 template <typename Domain, typename BoxOf>
 FlatSpatialTree FlattenTree(const DecompTree<Domain>& tree,
                             std::vector<double> counts, BoxOf&& box_of) {

@@ -303,35 +303,4 @@ void WriteSpatialTreeBodyCompressed(ByteWriter& out,
                           count_quantum);
 }
 
-void WriteBoxTreeBodyCompressed(ByteWriter& out, const DecompTree<Box>& tree,
-                                const std::vector<double>& counts,
-                                double count_quantum) {
-  const FlatSpatialTree flat =
-      FlattenTree(tree, counts, [](const Box& b) -> const Box& { return b; });
-  WriteTreeBodyCompressed(out, flat.dim, flat.parent, flat.bounds, flat.count,
-                          count_quantum);
-}
-
-Status ReadBoxTreeBodyCompressed(ByteReader& in, std::size_t dim,
-                                 DecompTree<Box>* tree,
-                                 std::vector<double>* counts) {
-  std::vector<NodeId> parents;
-  std::vector<double> bounds;
-  if (Status s = ReadTreeBodyCompressed(in, dim, &parents, &bounds, counts);
-      !s.ok()) {
-    return s;
-  }
-  for (std::size_t v = 0; v < parents.size(); ++v) {
-    const double* lo = bounds.data() + 2 * dim * v;
-    Box box(std::vector<double>(lo, lo + dim),
-            std::vector<double>(lo + dim, lo + 2 * dim));
-    if (v == 0) {
-      tree->AddRoot(std::move(box));
-    } else {
-      tree->AddChild(parents[v], std::move(box));
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace privtree

@@ -70,19 +70,13 @@ Status ReadTreeBodyCompressed(ByteReader& in, std::size_t dim,
                               std::vector<double>* bounds,
                               std::vector<double>* counts);
 
-/// Adapters for the DecompTree-based histograms: the library's
-/// SpatialHistogram (the tests' reference encoder) and kdtree's release.
-/// The same bytes as the flat codec on the flattened tree.
+/// Adapter for the library's SpatialHistogram, the tests' reference
+/// encoder: the same bytes as the flat codec on the flattened tree.  Every
+/// served release, kdtree's included, is encoded flat at fit.
 void WriteSpatialTreeBodyCompressed(ByteWriter& out,
                                     const DecompTree<SpatialCell>& tree,
                                     const std::vector<double>& counts,
                                     double count_quantum = 0.0);
-void WriteBoxTreeBodyCompressed(ByteWriter& out, const DecompTree<Box>& tree,
-                                const std::vector<double>& counts,
-                                double count_quantum = 0.0);
-Status ReadBoxTreeBodyCompressed(ByteReader& in, std::size_t dim,
-                                 DecompTree<Box>* tree,
-                                 std::vector<double>* counts);
 
 }  // namespace privtree
 

@@ -1,15 +1,19 @@
-// The served `privtree` and `simpletree` methods fit through the flat
-// kernel (spatial/flat_fit.h) and never build a DecompTree.  Their releases
-// must still be the library builders' releases bit for bit: the saved
-// envelope equals one written around WriteSpatialTreeBodyCompressed on the
-// oracle tree (count_quantum applied to its counts), the answers equal
-// SpatialHistogram::Query, the metadata reports the oracle's size and
+// The served tree methods keep one flat body: `privtree` and `simpletree`
+// fit through the flat kernel (spatial/flat_fit.h) and never build a
+// DecompTree, and `kdtree` flattens the library KdTreeHistogram inside its
+// fit.  Their releases must still be the library builders' releases bit
+// for bit: the saved envelope equals one written around
+// WriteSpatialTreeBodyCompressed on the oracle tree (count_quantum applied
+// to its counts), the answers equal SpatialHistogram::Query (and
+// KdTreeHistogram::Query), the metadata reports the oracle's size and
 // height, and a release loaded back from the envelope answers, reports and
-// saves exactly like the fitted one.  Each served fit records its size and
-// sub-phase times in the spatial.* and release.encode_us histograms.
+// saves exactly like the fitted one.  Each served privtree or simpletree
+// fit records its size and sub-phase times in the spatial.* and
+// release.encode_us histograms.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -19,6 +23,7 @@
 #include "core/codec.h"
 #include "dp/budget.h"
 #include "dp/rng.h"
+#include "hist/kdtree.h"
 #include "obs/metrics.h"
 #include "release/builtin_methods.h"
 #include "release/dataset.h"
@@ -74,23 +79,55 @@ struct Case {
   std::size_t dim = 2;
 };
 
-/// The library builder's release for `c`, with the method's count_quantum
-/// applied to its counts.
-SpatialHistogram OracleRelease(const Case& c, const PointSet& points,
-                               std::uint64_t seed) {
+/// `kd`'s tree and counts as a SpatialHistogram: the same boxes and
+/// parent links.  Its Query is the same descent as KdTreeHistogram::Query,
+/// and unlike that one it also runs over quantized counts.
+SpatialHistogram AsSpatialHistogram(const KdTreeHistogram& kd) {
+  SpatialHistogram hist;
+  for (const DecompNode<Box>& node : kd.tree().nodes()) {
+    if (node.parent == kInvalidNode) {
+      hist.tree.AddRoot({node.domain});
+    } else {
+      hist.tree.AddChild(node.parent, {node.domain});
+    }
+  }
+  hist.count = kd.counts();
+  return hist;
+}
+
+struct Oracle {
+  /// The library builder's release, with the method's count_quantum
+  /// applied to its counts.
+  SpatialHistogram hist;
+  /// kdtree only: the library k-d tree itself, with unquantized counts.
+  std::optional<KdTreeHistogram> kd;
+};
+
+Oracle OracleRelease(const Case& c, const PointSet& points,
+                     std::uint64_t seed) {
   Rng rng(seed);
   const Box domain = Box::UnitCube(c.dim);
-  SpatialHistogram hist =
-      c.method == "privtree"
-          ? BuildPrivTreeHistogram(points, domain, kEpsilon,
-                                   ParsePrivTreeHistogramOptions(c.options),
-                                   rng)
-          : BuildSimpleTreeHistogram(
-                points, domain, kEpsilon,
-                ParseSimpleTreeHistogramOptions(c.options), rng);
+  Oracle oracle;
+  if (c.method == "privtree") {
+    oracle.hist =
+        BuildPrivTreeHistogram(points, domain, kEpsilon,
+                               ParsePrivTreeHistogramOptions(c.options), rng);
+  } else if (c.method == "simpletree") {
+    oracle.hist = BuildSimpleTreeHistogram(
+        points, domain, kEpsilon, ParseSimpleTreeHistogramOptions(c.options),
+        rng);
+  } else {
+    KdTreeOptions options;
+    options.height = static_cast<std::int32_t>(
+        c.options.GetInt("height", options.height));
+    oracle.kd.emplace(points, domain, kEpsilon, options, rng);
+    oracle.hist = AsSpatialHistogram(*oracle.kd);
+  }
   const double quantum = c.options.GetDouble("count_quantum", 0.0);
-  for (double& count : hist.count) count = QuantizeCount(count, quantum);
-  return hist;
+  for (double& count : oracle.hist.count) {
+    count = QuantizeCount(count, quantum);
+  }
+  return oracle;
 }
 
 TEST(FlatFitMethodTest, ServedFitsSaveAndAnswerLikeTheOracle) {
@@ -103,6 +140,11 @@ TEST(FlatFitMethodTest, ServedFitsSaveAndAnswerLikeTheOracle) {
       {"simpletree", {}},
       {"simpletree", {{"height", "5"}, {"count_quantum", "1"}}},
       {"simpletree", {{"dims_per_split", "1"}, {"height", "8"}}, 3},
+      {"kdtree", {}},
+      {"kdtree", {{"height", "6"}, {"count_quantum", "1"}}},
+      {"kdtree", {}, 3},
+      // Above 8 dims the descent reads the dimension at run time (D = 0).
+      {"kdtree", {}, 10},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.method + " " + c.options.ToString() +
@@ -115,7 +157,8 @@ TEST(FlatFitMethodTest, ServedFitsSaveAndAnswerLikeTheOracle) {
       Rng rng(seed);
       fitted->Fit(Dataset(points, domain), budget, rng);
 
-      const SpatialHistogram oracle = OracleRelease(c, points, seed);
+      const Oracle release = OracleRelease(c, points, seed);
+      const SpatialHistogram& oracle = release.hist;
       EXPECT_EQ(fitted->Metadata().synopsis_size, oracle.tree.size());
       EXPECT_EQ(fitted->Metadata().height, oracle.tree.Height());
 
@@ -135,6 +178,10 @@ TEST(FlatFitMethodTest, ServedFitsSaveAndAnswerLikeTheOracle) {
       const std::vector<double> answers = fitted->QueryBatch(queries);
       for (std::size_t i = 0; i < queries.size(); ++i) {
         EXPECT_EQ(answers[i], oracle.Query(queries[i])) << "query " << i;
+        if (release.kd && c.options.GetDouble("count_quantum", 0.0) == 0.0) {
+          EXPECT_EQ(answers[i], release.kd->Query(queries[i]))
+              << "query " << i;
+        }
       }
 
       std::istringstream in(saved);

@@ -159,6 +159,18 @@ TEST(SharedIndexTest, GridFitsAndSequenceDatasetsNeverBuildAnIndex) {
   EXPECT_EQ(IndexBytes(), bytes_before);
 }
 
+TEST(SharedIndexTest, KdTreeFitsNeverBuildAnIndex) {
+  // kdtree serves from the same flat body as privtree, but its fit splits
+  // on the points themselves; only the privtree fit builds the index.
+  const PointSet points = ClusteredPoints();
+  const Dataset data(points, Box::UnitCube(2));
+  const std::uint64_t builds_before = IndexBuilds();
+  EXPECT_FALSE(FitAndSave("kdtree", {}, data).empty());
+  EXPECT_EQ(IndexBuilds(), builds_before);
+  EXPECT_FALSE(FitAndSave("privtree", {}, data).empty());
+  EXPECT_EQ(IndexBuilds(), builds_before + 1);
+}
+
 TEST(SharedIndexDeathTest, IndexOverAnotherDomainIsRefused) {
   const PointSet points = ClusteredPoints(100);
   const MortonIndex index(points, Box::UnitCube(2));
