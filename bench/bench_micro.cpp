@@ -7,6 +7,7 @@
 // reproduction fast enough for the paper-scale sweeps.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "core/privtree.h"
@@ -26,6 +27,7 @@
 #include "serve/synopsis_cache.h"
 #include "serve/thread_pool.h"
 #include "server/async_engine.h"
+#include "spatial/flat_fit.h"
 #include "spatial/morton_index.h"
 #include "spatial/spatial_histogram.h"
 
@@ -98,6 +100,27 @@ void BM_PrivTreeFitSharedIndex(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PrivTreeFitSharedIndex)->Arg(100000)->Arg(1000000);
+
+/// The served fit kernel, FitPrivTreeFlat, over 1M road-like points and a
+/// prebuilt index at the ε of argument range(0) in the paper's sweep.
+void BM_FitPrivTreeFlat(benchmark::State& state) {
+  static constexpr double kEpsSweep[] = {0.05, 0.1, 0.2, 0.4, 0.8, 1.6};
+  const double epsilon = kEpsSweep[state.range(0)];
+  Rng data_rng(4);
+  const PointSet points = GenerateRoadLike(1000000, data_rng);
+  const MortonIndex index(points, Box::UnitCube(2));
+  Rng rng(5);
+  std::size_t nodes = 0;
+  for (auto _ : state) {
+    const FlatSpatialTree tree =
+        FitPrivTreeFlat(index, Box::UnitCube(2), epsilon, {}, rng);
+    nodes = tree.size();
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.SetLabel("eps=" + std::to_string(epsilon).substr(0, 4) +
+                 " nodes=" + std::to_string(nodes));
+}
+BENCHMARK(BM_FitPrivTreeFlat)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
 
 /// The served fit: registry `privtree` Method::Fit at ε = 1 over a Dataset
 /// whose shared index is already built — the flat fit kernel, the count

@@ -7,6 +7,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -77,10 +78,10 @@ double ParseCountQuantum(const MethodOptions& o) {
 
 /// Shared body of the spatial tree family (PrivTree, SimpleTree, KD).  A
 /// fitted or loaded release is kept as what serving reads: the query index
-/// and the payload encoded once.  Fit and load both produce the flat layout
-/// the index is built from (Build, ReadTreeBodyCompressed), and Save is a
-/// copy, not an encode.  PrivTree and SimpleTree fit straight into that
-/// layout (spatial/flat_fit.h) over the dataset's shared Morton index, so
+/// and the whole envelope, sealed once.  Fit and load both produce the flat
+/// layout the index is built from (Build, ReadTreeBodyCompressed), and Save
+/// is one write, not an encode.  PrivTree and SimpleTree fit straight into
+/// that layout (spatial/flat_fit.h) over the dataset's shared Morton index, so
 /// only the first tree fit of a dataset builds it.  kdtree's Build fits the
 /// library's KdTreeHistogram, a DecompTree that dies when Build returns,
 /// and flattens it.
@@ -90,19 +91,25 @@ class SpatialTreeMethod : public BuiltinMethod {
     PRIVTREE_CHECK(!state_.fitted);
     state_ = {true, data.dim(), budget.SpendRemaining()};
     FlatSpatialTree tree = Build(data, state_.epsilon_spent, rng);
-    const auto start = std::chrono::steady_clock::now();
+    // release.encode_us: the count quantise and payload encode, then the
+    // seal, which needs the query index's size and height.
+    auto start = std::chrono::steady_clock::now();
     for (double& c : tree.count) c = QuantizeCount(c, count_quantum_);
-    ByteWriter w(&payload_);
+    std::string payload;
+    ByteWriter w(&payload);
     WriteTreeBodyCompressed(w, tree.dim, tree.parent, tree.bounds, tree.count,
                             count_quantum_);
+    auto encode = std::chrono::steady_clock::now() - start;
+    batch_ = TreeBatchIndex(tree.dim, tree.parent, std::move(tree.bounds),
+                            std::move(tree.count));
+    start = std::chrono::steady_clock::now();
+    envelope_ = SealSynopsis(Metadata(), options_text_, payload);
+    encode += std::chrono::steady_clock::now() - start;
     static obs::Histogram& encode_us =
         obs::Registry::Global().GetHistogram("release.encode_us");
     encode_us.Observe(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
+        std::chrono::duration_cast<std::chrono::microseconds>(encode)
             .count()));
-    batch_ = TreeBatchIndex(tree.dim, tree.parent, std::move(tree.bounds),
-                            std::move(tree.count));
   }
 
   void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
@@ -122,7 +129,7 @@ class SpatialTreeMethod : public BuiltinMethod {
 
   Status Save(std::ostream& out) const override {
     if (!state_.fitted) return NotFitted();
-    return SaveSynopsis(out, payload_);
+    return WriteSealedSynopsis(out, envelope_);
   }
 
  protected:
@@ -130,12 +137,12 @@ class SpatialTreeMethod : public BuiltinMethod {
       : BuiltinMethod(o), count_quantum_(ParseCountQuantum(o)) {}
 
   /// Restores a loaded release; `payload` is the body `batch` was decoded
-  /// from.
+  /// from, so the sealed envelope is the loaded one, byte for byte.
   SpatialTreeMethod(const SynopsisEnvelope& env, TreeBatchIndex batch,
-                    std::string payload)
+                    std::string_view payload)
       : BuiltinMethod(env),
         batch_(std::move(batch)),
-        payload_(std::move(payload)) {}
+        envelope_(SealSynopsis(env.metadata, env.options_text, payload)) {}
 
   /// The method's fit kernel, run over `data` with the whole ε.
   virtual FlatSpatialTree Build(const Dataset& data, double epsilon,
@@ -149,7 +156,7 @@ class SpatialTreeMethod : public BuiltinMethod {
  private:
   double count_quantum_ = 0.0;
   TreeBatchIndex batch_;
-  std::string payload_;  // The encoded tree body Save writes.
+  std::string envelope_;  // The sealed envelope Save writes.
 };
 
 /// PrivTree (Section 3.4): the paper's method.
@@ -159,8 +166,8 @@ class PrivTreeMethod final : public SpatialTreeMethod {
       : SpatialTreeMethod(o), options_(ParsePrivTreeHistogramOptions(o)) {}
 
   PrivTreeMethod(const SynopsisEnvelope& env, TreeBatchIndex batch,
-                 std::string payload)
-      : SpatialTreeMethod(env, std::move(batch), std::move(payload)) {}
+                 std::string_view payload)
+      : SpatialTreeMethod(env, std::move(batch), payload) {}
 
   MethodMetadata Metadata() const override { return TreeMetadata("privtree"); }
 
@@ -181,8 +188,8 @@ class SimpleTreeMethod final : public SpatialTreeMethod {
       : SpatialTreeMethod(o), options_(ParseSimpleTreeHistogramOptions(o)) {}
 
   SimpleTreeMethod(const SynopsisEnvelope& env, TreeBatchIndex batch,
-                   std::string payload)
-      : SpatialTreeMethod(env, std::move(batch), std::move(payload)) {}
+                   std::string_view payload)
+      : SpatialTreeMethod(env, std::move(batch), payload) {}
 
   MethodMetadata Metadata() const override {
     return TreeMetadata("simpletree");
@@ -402,8 +409,8 @@ class KdTreeMethod final : public SpatialTreeMethod {
       : SpatialTreeMethod(o), options_(ParseOptions(o)) {}
 
   KdTreeMethod(const SynopsisEnvelope& env, TreeBatchIndex batch,
-               std::string payload)
-      : SpatialTreeMethod(env, std::move(batch), std::move(payload)) {}
+               std::string_view payload)
+      : SpatialTreeMethod(env, std::move(batch), payload) {}
 
   MethodMetadata Metadata() const override { return TreeMetadata("kdtree"); }
 
@@ -505,7 +512,8 @@ MethodFactory FactoryFor() {
 
 /// Loader for the spatial tree family (PrivTree, SimpleTree, KD): the
 /// compressed tree body decodes straight into the query index's flat
-/// layout, bit for bit, and the method keeps the body's bytes for Save.
+/// layout, bit for bit, and the method seals the loaded envelope again from
+/// the body's bytes for Save.
 template <typename T>
 MethodLoader SpatialTreeLoaderFor() {
   return [](const SynopsisEnvelope& env,
@@ -521,7 +529,7 @@ MethodLoader SpatialTreeLoaderFor() {
     }
     return std::unique_ptr<Method>(std::make_unique<T>(
         env, TreeBatchIndex(dim, parents, std::move(bounds), std::move(counts)),
-        std::string(body.substr(0, body.size() - payload.remaining()))));
+        body.substr(0, body.size() - payload.remaining())));
   };
 }
 

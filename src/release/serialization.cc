@@ -92,17 +92,19 @@ Status ValidateOptionsText(const MethodRegistry& registry,
 
 }  // namespace
 
-Status WriteSynopsis(std::ostream& out, const MethodMetadata& metadata,
-                     std::string_view options_text, std::string_view payload) {
-  std::string body;
-  ByteWriter w(&body);
+std::string SealSynopsis(const MethodMetadata& metadata,
+                         std::string_view options_text,
+                         std::string_view payload) {
+  std::string envelope(kHeaderBytes, '\0');  // The header goes in last.
+  ByteWriter w(&envelope);
   w.Str(metadata.method);
   w.Str(options_text);
   w.U64(metadata.dim);
   w.F64(metadata.epsilon_spent);
   w.U64(metadata.synopsis_size);
   w.I32(metadata.height);
-  body.append(payload.data(), payload.size());
+  envelope.append(payload.data(), payload.size());
+  const std::string_view body = std::string_view(envelope).substr(kHeaderBytes);
 
   std::string header;
   ByteWriter h(&header);
@@ -111,9 +113,18 @@ Status WriteSynopsis(std::ostream& out, const MethodMetadata& metadata,
   h.U64(body.size());
   h.U64(ByteChecksum(body));
   h.U64(ByteChecksum(header));  // Header checksum over bytes [0, 28).
+  envelope.replace(0, kHeaderBytes, header);
+  return envelope;
+}
 
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+Status WriteSynopsis(std::ostream& out, const MethodMetadata& metadata,
+                     std::string_view options_text, std::string_view payload) {
+  return WriteSealedSynopsis(out,
+                             SealSynopsis(metadata, options_text, payload));
+}
+
+Status WriteSealedSynopsis(std::ostream& out, std::string_view envelope) {
+  out.write(envelope.data(), static_cast<std::streamsize>(envelope.size()));
   if (!out) return Status::IOError("synopsis write failure");
   return Status::OK();
 }

@@ -92,10 +92,20 @@ namespace privtree::release {
 inline constexpr std::string_view kSynopsisMagic = "PRIVTSYN";
 inline constexpr std::uint32_t kSynopsisFormatVersion = 3;
 
+/// The whole envelope, header and body, of a fitted method whose payload
+/// is `payload`: the bytes WriteSynopsis writes.  A method that keeps them
+/// saves with one write.
+std::string SealSynopsis(const MethodMetadata& metadata,
+                         std::string_view options_text,
+                         std::string_view payload);
+
 /// Writes the envelope header + body for a fitted method; backends call
 /// this from their Save overrides with the payload they encoded.
 Status WriteSynopsis(std::ostream& out, const MethodMetadata& metadata,
                      std::string_view options_text, std::string_view payload);
+
+/// Writes an envelope SealSynopsis built.
+Status WriteSealedSynopsis(std::ostream& out, std::string_view envelope);
 
 /// Reads one serialized synopsis from `in` (the whole remaining stream) and
 /// reconstructs the fitted method through `registry`'s loader for the

@@ -9,7 +9,8 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
-#include <sstream>
+#include <ostream>
+#include <streambuf>
 #include <system_error>
 #include <vector>
 
@@ -107,12 +108,34 @@ void SyncDirectory(const std::string& dir) {
   ::close(fd);
 }
 
+/// A stream buffer that counts the bytes written to it and stores none.
+class ByteCounter : public std::streambuf {
+ public:
+  std::size_t count() const { return count_; }
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    count_ += static_cast<std::size_t>(n);
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) ++count_;
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::size_t count_ = 0;
+};
+
 /// The envelope size `method` would occupy on disk (what the resident byte
-/// cap budgets); 0 for non-serializable methods (test stubs).
+/// cap budgets); 0 for non-serializable methods (test stubs).  A method
+/// that keeps its sealed envelope writes it in one call, so this copies
+/// nothing.
 std::size_t SerializedSizeOf(const release::Method& method) {
-  std::ostringstream out;
+  ByteCounter counter;
+  std::ostream out(&counter);
   if (!method.Save(out).ok()) return 0;
-  return out.str().size();
+  return counter.count();
 }
 
 /// Moves a corrupt spill file aside under `.quarantined` (evidence for

@@ -3,11 +3,16 @@
 // flat layout that serving reads — parent links, node-major bounds and
 // released counts — with no DecompTree in between.
 //
-// The kernel is one breadth-first loop over node ids.  FIFO order is id
-// order, so it needs no queue: a split appends its children contiguously
-// at the end, and the loop reaches them in turn.  A node's fit-time state
-// (Morton prefix, depth, exact key range) lives in a local array that dies
-// when the call returns, so the exact counts never reach a release.
+// The kernel works one breadth-first level at a time.  A split decision
+// needs only a node's count and depth, so the nodes of a level decide in id
+// order, each split appending its children's ids contiguously, and the
+// children's key ranges are then found by branchless binary searches run
+// in lockstep groups (MortonIndex::LowerBoundGroup), whose cache misses
+// overlap.  Fit-time state is the exact key ranges of the current level
+// and the next one; a node's Morton prefix is read off its first key, and
+// an empty node needs no search.  The bounds are written once the node
+// count is known, and PrivTree's counts are released through the parent
+// links.  The exact counts never reach a release.
 //
 // The kernel makes the same Laplace draws in the same order as the library
 // builders BuildPrivTreeHistogram / BuildSimpleTreeHistogram

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -30,8 +31,20 @@ constexpr SpreadTables MakeSpreadTables() {
 
 constexpr SpreadTables kSpread = MakeSpreadTables();
 
-// Buckets this small are finished with a comparison sort.
+// Buckets this small are finished with an insertion sort.
 constexpr std::size_t kRadixCutoff = 64;
+
+// Sorts a bucket of at most kRadixCutoff keys: each key moves down past the
+// larger keys before it.  A bucket already shares its leading digits, so it
+// is short and often nearly in order.
+void InsertionSort(MortonKey* keys, std::size_t n) {
+  for (std::size_t i = 1; i < n; ++i) {
+    const MortonKey key = keys[i];
+    std::size_t j = i;
+    for (; j > 0 && key < keys[j - 1]; --j) keys[j] = keys[j - 1];
+    keys[j] = key;
+  }
+}
 
 // The 8-bit digit of `key` whose lowest bit is key bit `shift`.  The last
 // digit of a key whose width is not a multiple of 8 starts below bit 0
@@ -46,7 +59,7 @@ inline unsigned Digit(MortonKey key, int shift) {
 void RadixSort(MortonKey* first, MortonKey* last, int shift) {
   const auto n = static_cast<std::size_t>(last - first);
   if (n <= kRadixCutoff) {
-    std::sort(first, last);
+    InsertionSort(first, n);
     return;
   }
   std::array<std::uint32_t, 256> count{};
@@ -196,6 +209,42 @@ std::uint32_t MortonIndex::LowerBound(MortonKey prefix, int bits,
   const auto it =
       std::lower_bound(keys_.begin() + begin, keys_.begin() + end, lo);
   return static_cast<std::uint32_t>(it - keys_.begin());
+}
+
+void MortonIndex::LowerBoundGroup(std::span<const Probe> probes,
+                                  std::uint32_t* out) const {
+  PRIVTREE_CHECK_LE(probes.size(), kProbeGroup);
+  if (probes.empty()) return;
+  // Unused lanes repeat a length-1 search of probe 0's first key, so every
+  // round runs all kProbeGroup lanes and the loop unrolls.
+  std::array<MortonKey, kProbeGroup> key{};
+  std::array<std::uint32_t, kProbeGroup> base, length;
+  base.fill(probes[0].begin);
+  length.fill(1);
+  std::uint32_t longest = 1;
+  for (std::size_t j = 0; j < probes.size(); ++j) {
+    PRIVTREE_CHECK_GE(probes[j].length, 1u);
+    PRIVTREE_CHECK_LE(std::size_t{probes[j].begin} + probes[j].length,
+                      keys_.size());
+    key[j] = probes[j].key;
+    base[j] = probes[j].begin;
+    length[j] = probes[j].length;
+    longest = std::max(longest, probes[j].length);
+  }
+  // The answer of lane j lies in [base, base + length]; a step halves the
+  // length and keeps the half that holds it.  A lane already at length 1
+  // reads keys[base] and stays put.
+  const MortonKey* keys = keys_.data();
+  for (int round = std::bit_width(longest - 1); round > 0; --round) {
+    for (std::size_t j = 0; j < kProbeGroup; ++j) {
+      const std::uint32_t half = length[j] / 2;
+      base[j] += keys[base[j] + half] < key[j] ? half : 0;
+      length[j] -= half;
+    }
+  }
+  for (std::size_t j = 0; j < probes.size(); ++j) {
+    out[j] = base[j] + (keys[base[j]] < key[j] ? 1 : 0);
+  }
 }
 
 std::size_t MortonIndex::CountPrefix(MortonKey prefix, int bits) const {

@@ -16,9 +16,12 @@
 // but the n keys.  A decomposition then never searches the whole array:
 // each cell carries its run [begin, end) (see SpatialCell), and a split
 // finds its children's runs by binary search inside the parent's run — the
-// cell's point count is end - begin.  The runs are exact, data-dependent
-// counts that exist only while a tree is being fitted; the builders clear
-// them before returning a release.
+// cell's point count is end - begin.  The library builders search one
+// boundary at a time (LowerBound); the served flat fit searches a whole
+// level's boundaries in lockstep groups (LowerBoundGroup), so their cache
+// misses overlap.  The runs are exact, data-dependent counts that exist
+// only while a tree is being fitted; the builders clear them before
+// returning a release.
 //
 // Memory: the index is the sorted key array alone — 16 B per point, no
 // permutation back to the points (counts never need it).  It depends only
@@ -74,6 +77,27 @@ class MortonIndex {
   /// may also be 2^bits, the end of the key space.
   std::uint32_t LowerBound(MortonKey prefix, int bits, std::uint32_t begin,
                            std::uint32_t end) const;
+
+  /// One question for LowerBoundGroup: the position of the first key in
+  /// [begin, begin + length) that is not below `key`, or begin + length
+  /// when there is none.  `length` must be at least 1.
+  struct Probe {
+    MortonKey key = 0;
+    std::uint32_t begin = 0;
+    std::uint32_t length = 1;
+  };
+
+  /// How many probes LowerBoundGroup runs together.  Their loads do not
+  /// depend on each other, so their cache misses overlap and a group costs
+  /// about as much as its longest search; 16 was the best of 8, 16 and 32
+  /// for the flat fit (spatial/flat_fit.h, bench_micro BM_FitPrivTreeFlat).
+  static constexpr std::size_t kProbeGroup = 16;
+
+  /// Answers `probes` (at most kProbeGroup of them) into out[0..size) with
+  /// branchless binary searches that take one step each per round, for as
+  /// many rounds as the longest range needs.  Ranges of any lengths mix.
+  void LowerBoundGroup(std::span<const Probe> probes,
+                       std::uint32_t* out) const;
 
   /// Number of points whose key starts with the low `bits` bits of
   /// `prefix`, searched over the whole index.  bits == 0 returns size().

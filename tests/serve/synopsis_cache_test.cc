@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -171,7 +172,10 @@ TEST(SynopsisCacheBytesTest, ResidentBytesTrackInsertEvictAndClear) {
 
   cache.GetOrFit(KeyFor(1), fit);
   const std::size_t one = cache.stats().resident_bytes;
-  EXPECT_GT(one, 0u);  // The serialized envelope size of one ug synopsis.
+  // The serialized envelope size of one ug synopsis.
+  std::ostringstream envelope;
+  ASSERT_TRUE(fit()->Save(envelope).ok());
+  EXPECT_EQ(one, envelope.str().size());
 
   cache.GetOrFit(KeyFor(2), fit);
   const std::size_t two = cache.stats().resident_bytes;

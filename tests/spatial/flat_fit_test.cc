@@ -13,6 +13,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -234,6 +235,77 @@ TEST(FlatFitTest, DuplicatePointsStopAtCanSplit) {
               deepest);
     ExpectSimpleTreeParity(points, 5000.0, simple, 4);
   }
+}
+
+/// Whether some level of `flat` holds both a split node around the point
+/// `cluster` and a split node with none of `points` in its box.
+bool LevelMixesClusterWithSplitEmptyNode(const FlatSpatialTree& flat,
+                                         const PointSet& points,
+                                         const std::vector<double>& cluster) {
+  const std::size_t dim = flat.dim;
+  const auto contains = [&](std::size_t v, std::span<const double> p) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      if (p[j] < flat.bounds[2 * dim * v + j] ||
+          p[j] > flat.bounds[2 * dim * v + dim + j]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::vector<int> depth(flat.size(), 0);
+  std::vector<bool> split(flat.size(), false);
+  for (std::size_t v = 1; v < flat.size(); ++v) {
+    depth[v] = depth[static_cast<std::size_t>(flat.parent[v])] + 1;
+    split[static_cast<std::size_t>(flat.parent[v])] = true;
+  }
+  std::vector<bool> cluster_split, empty_split;
+  for (std::size_t v = 0; v < flat.size(); ++v) {
+    if (!split[v]) continue;
+    const auto d = static_cast<std::size_t>(depth[v]);
+    cluster_split.resize(std::max(cluster_split.size(), d + 1));
+    empty_split.resize(std::max(empty_split.size(), d + 1));
+    if (contains(v, cluster)) cluster_split[d] = true;
+    bool empty = true;
+    for (std::size_t i = 0; i < points.size() && empty; ++i) {
+      empty = !contains(v, points.point(i));
+    }
+    if (empty) empty_split[d] = true;
+  }
+  for (std::size_t d = 0; d < cluster_split.size(); ++d) {
+    if (cluster_split[d] && empty_split[d]) return true;
+  }
+  return false;
+}
+
+TEST(FlatFitTest, LevelMixingDuplicateClusterAndSplitEmptyNodesMatchesOracle) {
+  // 3000 copies of one point among 300 spread ones: the cluster's chain of
+  // cells is deep, and its empty siblings sometimes split, so one level's
+  // searches mix the cluster's long key range with nodes that need none.
+  const std::vector<double> cluster = {0.3, 0.35};
+  PointSet points = SkewedPoints(300, 2, 12);
+  for (int i = 0; i < 3000; ++i) points.Add(cluster);
+  const Box domain = Box::UnitCube(2);
+  const MortonIndex index(points, domain);
+  int priv_mixed = 0, simple_mixed = 0;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ExpectPrivTreeParity(points, 1.0, {}, seed);
+    Rng priv_rng(seed);
+    priv_mixed += LevelMixesClusterWithSplitEmptyNode(
+        FitPrivTreeFlat(index, domain, 1.0, {}, priv_rng), points, cluster);
+
+    // θ = 0: an empty node splits on about half of its draws.
+    SimpleTreeHistogramOptions simple;
+    simple.height = 9;
+    simple.theta = 0.0;
+    ExpectSimpleTreeParity(points, 1.0, simple, seed);
+    Rng simple_rng(seed);
+    simple_mixed += LevelMixesClusterWithSplitEmptyNode(
+        FitSimpleTreeFlat(index, domain, 1.0, simple, simple_rng), points,
+        cluster);
+  }
+  EXPECT_GT(priv_mixed, 0);
+  EXPECT_GT(simple_mixed, 0);
 }
 
 TEST(FlatFitTest, MaxDepthOneMatchesOracle) {

@@ -318,5 +318,80 @@ TEST(MortonIndexTest, LowerBoundSearchesOnlyTheGivenRange) {
   EXPECT_EQ(index.LowerBound(0b100, 2, 0, n), n);
 }
 
+/// std::lower_bound over the probe's range: LowerBoundGroup's oracle.
+std::uint32_t OracleLowerBound(const MortonIndex& index,
+                               const MortonIndex::Probe& probe) {
+  const auto first = index.keys().begin() + probe.begin;
+  return static_cast<std::uint32_t>(
+      std::lower_bound(first, first + probe.length, probe.key) -
+      index.keys().begin());
+}
+
+void ExpectGroupMatchesOracle(const MortonIndex& index,
+                              const std::vector<MortonIndex::Probe>& probes) {
+  std::vector<std::uint32_t> found(probes.size());
+  index.LowerBoundGroup(probes, found.data());
+  for (std::size_t j = 0; j < probes.size(); ++j) {
+    EXPECT_EQ(found[j], OracleLowerBound(index, probes[j]))
+        << "probe " << j << " begin " << probes[j].begin << " length "
+        << probes[j].length;
+  }
+}
+
+TEST(MortonIndexTest, LowerBoundGroupMatchesStdLowerBound) {
+  // Coarse coordinates give runs of equal keys.
+  Rng rng(14);
+  PointSet points(2);
+  std::vector<double> p(2);
+  for (int i = 0; i < 20000; ++i) {
+    p[0] = std::floor(rng.NextDouble() * 64) / 64;
+    p[1] = std::floor(rng.NextDouble() * 64) / 64;
+    points.Add(p);
+  }
+  const MortonIndex index(points, Box::UnitCube(2));
+  const std::vector<MortonKey>& keys = index.keys();
+  const auto n = static_cast<std::uint32_t>(keys.size());
+  const auto pick = [&](std::uint32_t bound) {
+    return static_cast<std::uint32_t>(rng.NextDouble() * bound);
+  };
+  for (int group = 0; group < 2000; ++group) {
+    std::vector<MortonIndex::Probe> probes(1 + pick(16));
+    for (MortonIndex::Probe& probe : probes) {
+      probe.begin = pick(n);
+      // Every fourth range has length 1.
+      probe.length = pick(4) == 0 ? 1 : 1 + pick(n - probe.begin);
+      const MortonKey key = keys[pick(n)];
+      switch (pick(5)) {
+        case 0: probe.key = key; break;      // Equal to a key.
+        case 1: probe.key = key + 1; break;  // Just above one.
+        case 2: probe.key = keys[probe.begin]; break;
+        case 3: probe.key = keys.back() + 1; break;  // Past the last key.
+        default: probe.key = 0; break;
+      }
+    }
+    ExpectGroupMatchesOracle(index, probes);
+  }
+}
+
+TEST(MortonIndexTest, LowerBoundGroupMixesOneMillionKeysWithLengthOne) {
+  Rng rng(15);
+  const PointSet points = RandomPoints(1000000, 2, rng);
+  const MortonIndex index(points, Box::UnitCube(2));
+  const std::vector<MortonKey>& keys = index.keys();
+  const auto n = static_cast<std::uint32_t>(keys.size());
+  for (const MortonKey key : {keys[0], keys[n / 3], keys[n / 3] + 1,
+                              keys[n - 1], keys[n - 1] + 1}) {
+    std::vector<MortonIndex::Probe> probes(MortonIndex::kProbeGroup);
+    probes[0] = {key, 0, n};
+    for (std::size_t j = 1; j < probes.size(); ++j) {
+      // Length-1 ranges whose key is below, equal to or above the probe's.
+      const auto begin = static_cast<std::uint32_t>(j * (n / 17));
+      probes[j] = {keys[begin] + (j % 3) - 1, begin, 1};
+    }
+    probes.back() = {key, n - 1, 1};
+    ExpectGroupMatchesOracle(index, probes);
+  }
+}
+
 }  // namespace
 }  // namespace privtree
