@@ -4,12 +4,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <fstream>
 #include <istream>
 #include <iterator>
 #include <ostream>
-#include <sstream>
+#include <streambuf>
 #include <utility>
 
 #include "core/byteio.h"
@@ -89,6 +90,42 @@ Status ValidateOptionsText(const MethodRegistry& registry,
   }
   return Status::OK();
 }
+
+/// An output stream buffer straight onto a file descriptor, with no buffer
+/// of its own: a sealed envelope (one write call) reaches the file in one
+/// write(2) and is never copied.
+class FdStreamBuf : public std::streambuf {
+ public:
+  explicit FdStreamBuf(int fd) : fd_(fd) {}
+
+  std::uint64_t written() const { return written_; }
+
+ protected:
+  std::streamsize xsputn(const char* data, std::streamsize n) override {
+    std::streamsize done = 0;
+    while (done < n) {
+      const ssize_t w =
+          ::write(fd_, data + done, static_cast<std::size_t>(n - done));
+      if (w < 0 && errno == EINTR) continue;
+      if (w <= 0) break;
+      done += w;
+    }
+    written_ += static_cast<std::uint64_t>(done);
+    return done;
+  }
+
+  int_type overflow(int_type c) override {
+    if (traits_type::eq_int_type(c, traits_type::eof())) {
+      return traits_type::not_eof(c);
+    }
+    const char ch = traits_type::to_char_type(c);
+    return xsputn(&ch, 1) == 1 ? c : traits_type::eof();
+  }
+
+ private:
+  const int fd_;
+  std::uint64_t written_ = 0;
+};
 
 }  // namespace
 
@@ -220,37 +257,38 @@ Result<std::unique_ptr<Method>> LoadMethod(std::istream& in) {
 
 Status SaveMethodToFile(const Method& method, const std::string& path,
                         bool durable) {
-  // Serialize to memory first: the envelope is small, and a byte buffer
-  // lets both the `partial` fault (a torn prefix, simulating a crash
-  // mid-write) and the fsync path work on one code path.
-  std::ostringstream buffer;
-  if (Status s = method.Save(buffer); !s.ok()) return s;
-  const std::string data = std::move(buffer).str();
-  std::size_t write_size = data.size();
+  // A `partial` fault tears the file to half its bytes after the write: a
+  // torn write *appears* to succeed — exactly what a crash between write
+  // and rename leaves behind.  Recovery (quarantine scan, checksum-verified
+  // loads) is what the chaos tests pin down.  Any other fault fails before
+  // the file is opened.
+  bool torn = false;
   if (auto f = PRIVTREE_FAULT("envelope.save"); f && f.MaybeSleep()) {
-    if (f.kind == fault::Kind::kPartialWrite) {
-      // A torn write *appears* to succeed — exactly what a crash between
-      // write and rename leaves behind.  Recovery (quarantine scan,
-      // checksum-verified loads) is what the chaos tests pin down.
-      write_size /= 2;
-    } else {
+    if (f.kind != fault::Kind::kPartialWrite) {
       return f.ToStatus("envelope.save");
     }
+    torn = true;
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out.write(data.data(), static_cast<std::streamsize>(write_size));
-  out.flush();
-  if (!out) return Status::IOError("write failure on " + path);
-  out.close();
-  if (durable) {
-    const int fd = ::open(path.c_str(), O_WRONLY);
-    if (fd < 0) return Status::IOError("cannot reopen " + path + " to sync");
-    const int synced = ::fsync(fd);
-    ::close(fd);
-    if (synced != 0) return Status::IOError("fsync failure on " + path);
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return Status::IOError("cannot open " + path + " for writing");
+  // Save writes straight into the file, and a durable save syncs through
+  // the descriptor that wrote it.
+  FdStreamBuf file(fd);
+  std::ostream out(&file);
+  Status saved = method.Save(out);
+  if (saved.ok() && torn &&
+      ::ftruncate(fd, static_cast<off_t>(file.written() / 2)) != 0) {
+    saved = Status::IOError("cannot truncate " + path);
   }
-  return Status::OK();
+  if (saved.ok() && durable && ::fsync(fd) != 0) {
+    saved = Status::IOError("fsync failure on " + path);
+  }
+  if (::close(fd) != 0 && saved.ok()) {
+    saved = Status::IOError("write failure on " + path);
+  }
+  if (!saved.ok()) ::unlink(path.c_str());  // A failed save leaves no file.
+  return saved;
 }
 
 Result<std::unique_ptr<Method>> LoadMethodFromFile(const std::string& path) {

@@ -84,25 +84,6 @@ std::vector<std::shared_ptr<const release::Method>> ParallelRunner::FitAll(
   return FitAll(release::Dataset(points, domain), std::move(jobs));
 }
 
-void ParallelRunner::Prefetch(release::Dataset data,
-                              std::vector<FitJob> jobs) const {
-  PRIVTREE_CHECK(cache_ != nullptr);
-  const std::uint64_t fingerprint = data.Fingerprint();
-  auto shared_jobs = std::make_shared<std::vector<FitJob>>(std::move(jobs));
-  for (std::size_t i = 0; i < shared_jobs->size(); ++i) {
-    // `data` is a cheap view; each task captures its own copy (the viewed
-    // dataset must outlive the pool drain, as before).
-    pool_.Submit([this, data, fingerprint, shared_jobs, i] {
-      FitOne(data, fingerprint, (*shared_jobs)[i]);
-    });
-  }
-}
-
-void ParallelRunner::Prefetch(const PointSet& points, const Box& domain,
-                              std::vector<FitJob> jobs) const {
-  Prefetch(release::Dataset(points, domain), std::move(jobs));
-}
-
 namespace {
 
 /// Shards any QueryBatch-shaped workload into contiguous chunks.

@@ -10,9 +10,9 @@
 // The runner optionally routes every fit through a SynopsisCache, so
 // repeated sweeps over the same (dataset, method, options, ε, randomness)
 // configurations — different query bands over one release, a re-run of a
-// bench table — pay for each fit once, and Prefetch() can warm the cache
-// before the queries arrive (fit-ahead, the histogram-server analogue of
-// I/O read-ahead).
+// bench table — pay for each fit once.  Warming the cache ahead of the
+// queries is the serving engine's job (server::AsyncEngine::Warm), under
+// its admission control.
 #ifndef PRIVTREE_SERVE_PARALLEL_RUNNER_H_
 #define PRIVTREE_SERVE_PARALLEL_RUNNER_H_
 
@@ -74,13 +74,6 @@ class ParallelRunner {
                                      std::vector<FitJob> jobs) const;
   std::vector<FitResult> FitAllTimed(const PointSet& points, const Box& domain,
                                      std::vector<FitJob> jobs) const;
-
-  /// Enqueues the jobs to warm the cache and returns immediately.  Requires
-  /// a cache, and the data `data` views must stay alive until the pool
-  /// drains (WaitIdle or destruction).
-  void Prefetch(release::Dataset data, std::vector<FitJob> jobs) const;
-  void Prefetch(const PointSet& points, const Box& domain,
-                std::vector<FitJob> jobs) const;
 
   ThreadPool& pool() const { return pool_; }
   SynopsisCache* cache() const { return cache_; }

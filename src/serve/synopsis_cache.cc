@@ -242,9 +242,7 @@ SynopsisCache::SynopsisCache(std::size_t capacity, SpillOptions spill,
     spill_lru_.push_back(name);
     spill_index_.insert(std::move(name));
   }
-  if (spill_.background_writer) {
-    spill_writer_ = std::thread(&SynopsisCache::RunSpillWriter, this);
-  }
+  spill_writer_ = std::thread(&SynopsisCache::RunSpillWriter, this);
 }
 
 SynopsisCache::~SynopsisCache() {
@@ -368,7 +366,7 @@ void SynopsisCache::SpillEvicted(const std::vector<Evicted>& evicted) {
 }
 
 bool SynopsisCache::EnqueueSpillLocked(std::vector<Evicted>* evicted) {
-  if (evicted->empty() || !spill_.background_writer) return false;
+  if (evicted->empty()) return false;
   bool queued = false;
   for (Evicted& entry : *evicted) {
     // A key already awaiting its write keeps the one queue slot it has;
@@ -411,7 +409,7 @@ void SynopsisCache::RunSpillWriter() {
 
 void SynopsisCache::FlushSpill() {
   MutexLock lk(mu_);
-  if (!spill_enabled() || !spill_.background_writer) return;
+  if (!spill_enabled()) return;
   while (!spill_queue_.empty() || !spill_pending_index_.empty()) {
     flush_cv_.Wait(lk);
   }
@@ -441,7 +439,6 @@ std::shared_ptr<const release::Method> SynopsisCache::GetOrFit(
       const bool notify_writer = EnqueueSpillLocked(&evicted);
       lk.Unlock();
       if (notify_writer) spill_cv_.NotifyAll();
-      if (!evicted.empty()) SpillEvicted(evicted);
       return value;
     }
     if (!inflight_.contains(key)) break;
@@ -510,7 +507,6 @@ std::shared_ptr<const release::Method> SynopsisCache::GetOrFit(
   lk.Unlock();
 
   if (notify_writer) spill_cv_.NotifyAll();
-  if (!evicted.empty()) SpillEvicted(evicted);
   return value;
 }
 

@@ -36,9 +36,7 @@
 // synopsis transiently unfetchable.  `stats().spill_pending` exposes the
 // writer's backlog — the admission controller sheds fit load when it grows
 // (see server/admission.h) — and FlushSpill() blocks until the backlog is
-// on disk (tests, clean shutdown).  Setting
-// `SpillOptions::background_writer = false` restores synchronous
-// eviction-time writes.
+// on disk (tests, clean shutdown).
 #ifndef PRIVTREE_SERVE_SYNOPSIS_CACHE_H_
 #define PRIVTREE_SERVE_SYNOPSIS_CACHE_H_
 
@@ -105,9 +103,6 @@ struct SpillOptions {
   std::string directory;
   /// Max synopsis files kept on disk (oldest evicted first); 0 = unbounded.
   std::size_t max_entries = 256;
-  /// Serialize evictions on a dedicated writer thread (write-behind, the
-  /// default) instead of on the evicting caller's thread.
-  bool background_writer = true;
 };
 
 /// A thread-safe LRU cache of fitted methods with an optional disk tier.
@@ -206,12 +201,12 @@ class SynopsisCache {
 
   /// Serializes evicted entries to the spill directory (temp-file + rename,
   /// no lock held during the write), then registers the files and trims the
-  /// spill tier to capacity, oldest-or-coldest file first.
+  /// spill tier to capacity, oldest-or-coldest file first.  Runs on the
+  /// background writer only.
   void SpillEvicted(const std::vector<Evicted>& evicted) EXCLUDES(mu_);
 
-  /// Queues evicted entries for the background writer (or hands them to
-  /// SpillEvicted inline when the writer is disabled); caller holds mu_ and
-  /// must call spill_cv_.NotifyAll() after unlocking when this returns
+  /// Queues evicted entries for the background writer; caller holds mu_
+  /// and must call spill_cv_.NotifyAll() after unlocking when this returns
   /// true (entries were queued).
   bool EnqueueSpillLocked(std::vector<Evicted>* evicted) REQUIRES(mu_);
 

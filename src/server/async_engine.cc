@@ -104,6 +104,15 @@ std::uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
   return us < 0 ? 0 : static_cast<std::uint64_t>(us);
 }
 
+/// Feeds one request's queue wait to the histogram and to `trace` when
+/// non-null.  A queued request records it before its watchdog watch
+/// begins: the watch's lock orders the write before any reply the watchdog
+/// sends, which finishes the trace.
+void RecordQueueWait(const obs::TracePtr& trace, std::uint64_t us) {
+  QueueWaitHistogram().Observe(us);
+  if (trace) trace->Record(obs::Span::kQueueWait, us);
+}
+
 /// Feeds one admission decision, timed from `start`, to the histogram and
 /// to `trace` when non-null.
 void RecordAdmission(const obs::TracePtr& trace,
@@ -111,15 +120,6 @@ void RecordAdmission(const obs::TracePtr& trace,
   const std::uint64_t us = MicrosSince(start);
   AdmissionHistogram().Observe(us);
   if (trace) trace->Record(obs::Span::kAdmission, us);
-}
-
-/// A future that is already resolved with `value`.
-template <typename T>
-Future<T> Resolved(T value) {
-  Promise<T> promise;
-  Future<T> future = promise.future();
-  promise.Set(std::move(value));
-  return future;
 }
 
 /// A Promise whose Set is idempotent: the watchdog and the (possibly still
@@ -341,186 +341,194 @@ void AsyncEngine::RunOne() {
   request.run();
 }
 
-Future<FitResponse> AsyncEngine::SubmitFit(
-    const FitSpec& spec, DeadlineClock::time_point deadline,
-    obs::TracePtr trace) {
-  Promise<FitResponse> promise;
-  Future<FitResponse> future = promise.future();
-  if (Status valid = ValidateSpec(spec); !valid.ok()) {
-    promise.Set({std::move(valid), {}, false});
-    return future;
-  }
-  const serve::SynopsisKey key = KeyFor(spec);
-  admission_.BeginFit(key);
-  auto shared =
-      std::make_shared<SettleOnce<FitResponse>>(std::move(promise));
-  QueuedRequest request;
-  request.deadline = deadline;
-  request.expire = [this, shared, key](Status status) {
-    admission_.EndFit(key);
-    shared->Set({std::move(status), {}, false});
-  };
-  const auto submitted = std::chrono::steady_clock::now();
-  request.run = [this, shared, spec, key, deadline, trace, submitted] {
-    const std::uint64_t wait_us = MicrosSince(submitted);
-    QueueWaitHistogram().Observe(wait_us);
-    if (trace) trace->Record(obs::Span::kQueueWait, wait_us);
-    const std::uint64_t watch = BeginWatch(deadline, [shared] {
-      shared->Set({Status::DeadlineExceeded(
-                       "deadline passed while the fit was running"),
-                   {},
-                   false});
-    });
-    if (auto f = PRIVTREE_FAULT("engine.fit"); f && f.MaybeSleep()) {
-      EndWatch(watch);
-      admission_.EndFit(key);
-      shared->Set({f.ToStatus("engine.fit"), {}, false});
-      return;
-    }
-    const auto fit_start = std::chrono::steady_clock::now();
-    const serve::FitResult fitted = serve::FitSynopsis(
-        data_, dataset_fingerprint_, JobFor(spec), &cache_);
-    const std::uint64_t fit_us = MicrosSince(fit_start);
-    FitHistogram().Observe(fit_us);
-    if (trace) {
-      trace->Record(obs::Span::kFit, fit_us);
-      trace->cache_hit = fitted.cache_hit;
-    }
-    EndWatch(watch);
-    admission_.EndFit(key);
-    shared->Set({Status::OK(), fitted.method->Metadata(), fitted.cache_hit});
-  };
-  if (Status queued = Enqueue(request, /*needs_fit=*/true, trace);
-      !queued.ok()) {
-    admission_.EndFit(key);
-    shared->Set({std::move(queued), {}, false});
-  }
-  return future;
+Result<PreparedSpec> AsyncEngine::Prepare(FitSpec spec) const {
+  // Validation precedes the key: canonicalizing the options of an
+  // unregistered method is a contract violation.
+  if (Status valid = ValidateSpec(spec); !valid.ok()) return valid;
+  serve::SynopsisKey key = KeyFor(spec);
+  return PreparedSpec{std::move(spec), std::move(key)};
 }
 
 template <typename Query>
-struct AsyncEngine::BatchJob {
-  FitSpec spec;
-  serve::SynopsisKey key;
-  /// The key was not cached at admission: the request counts as fit load.
-  bool needs_fit = false;
+struct AsyncEngine::Job {
+  PreparedSpec prepared;
   std::vector<Query> queries;
   obs::TracePtr trace;
+  /// Counts as fit load: a Fit always, a batch only when its release was
+  /// not cached at admission.
+  bool needs_fit = true;
 };
+
+Future<FitResponse> AsyncEngine::Submit(PreparedSpec prepared,
+                                        DeadlineClock::time_point deadline,
+                                        obs::TracePtr trace) {
+  return Start<NoQuery>(std::move(prepared), {}, deadline, std::move(trace));
+}
+
+Future<QueryBatchResponse> AsyncEngine::Submit(
+    PreparedSpec prepared, std::vector<Box> queries,
+    DeadlineClock::time_point deadline, obs::TracePtr trace) {
+  return Start<Box>(std::move(prepared), std::move(queries), deadline,
+                    std::move(trace));
+}
+
+Future<QueryBatchResponse> AsyncEngine::Submit(
+    PreparedSpec prepared, std::vector<release::SequenceQuery> queries,
+    DeadlineClock::time_point deadline, obs::TracePtr trace) {
+  return Start<release::SequenceQuery>(std::move(prepared), std::move(queries),
+                                       deadline, std::move(trace));
+}
+
+Future<FitResponse> AsyncEngine::SubmitFit(const FitSpec& spec,
+                                           DeadlineClock::time_point deadline,
+                                           obs::TracePtr trace) {
+  return Start<NoQuery>(Prepare(spec), {}, deadline, std::move(trace));
+}
 
 Future<QueryBatchResponse> AsyncEngine::SubmitQueryBatch(
     const FitSpec& spec, std::vector<Box> queries,
     DeadlineClock::time_point deadline, obs::TracePtr trace) {
-  if (Status valid = ValidateSpec(spec); !valid.ok()) {
-    return Resolved<QueryBatchResponse>({std::move(valid), {}, false});
-  }
-  // ValidateSpec already rejects spatial methods on a sequence engine, but
-  // box queries carry their own shape; keep the message direct.
-  if (!data_.is_spatial()) {
-    return Resolved<QueryBatchResponse>(
-        {Status::InvalidArgument(
-             "box query batches need a spatial served dataset; this "
-             "server serves sequence data (use SeqQueryBatch)"),
-         {},
-         false});
-  }
-  for (const Box& q : queries) {
-    if (q.dim() != data_.dim()) {
-      return Resolved<QueryBatchResponse>(
-          {Status::InvalidArgument("query box dim " + std::to_string(q.dim()) +
-                                   " != serving dim " +
-                                   std::to_string(data_.dim())),
-           {},
-           false});
-    }
-  }
-  return SubmitBatch(spec, std::move(queries), deadline, std::move(trace));
+  return Start(Prepare(spec), std::move(queries), deadline, std::move(trace));
 }
 
 Future<QueryBatchResponse> AsyncEngine::SubmitSeqQueryBatch(
     const FitSpec& spec, std::vector<release::SequenceQuery> queries,
     DeadlineClock::time_point deadline, obs::TracePtr trace) {
-  if (Status valid = ValidateSpec(spec); !valid.ok()) {
-    return Resolved<QueryBatchResponse>({std::move(valid), {}, false});
-  }
-  if (!data_.is_sequence()) {
-    return Resolved<QueryBatchResponse>(
-        {Status::InvalidArgument("sequence query batches need a sequence "
-                                 "served dataset; this server serves "
-                                 "spatial data"),
-         {},
-         false});
-  }
-  for (const release::SequenceQuery& q : queries) {
-    if (Status screened = release::ValidateSequenceQuery(q, data_.dim());
-        !screened.ok()) {
-      return Resolved<QueryBatchResponse>({std::move(screened), {}, false});
+  return Start(Prepare(spec), std::move(queries), deadline, std::move(trace));
+}
+
+std::size_t AsyncEngine::Warm(std::span<const FitSpec> specs) {
+  std::size_t accepted = 0;
+  for (const FitSpec& spec : specs) {
+    Result<PreparedSpec> prepared = Prepare(spec);
+    if (!prepared.ok()) continue;
+    if (cache_.Lookup(prepared.value().key) != nullptr) continue;  // Warm.
+    // A Fit nobody waits on: its promise settles unobserved.
+    if (Admit<NoQuery>({std::move(prepared).value(), {}, {}}, kNoDeadline,
+                       Promise<FitResponse>())) {
+      ++accepted;
     }
   }
-  return SubmitBatch(spec, std::move(queries), deadline, std::move(trace));
+  return accepted;
 }
 
 template <typename Query>
-Future<QueryBatchResponse> AsyncEngine::SubmitBatch(
-    const FitSpec& spec, std::vector<Query> queries,
+Future<AsyncEngine::ResponseTo<Query>> AsyncEngine::Start(
+    Result<PreparedSpec> prepared, std::vector<Query> queries,
     DeadlineClock::time_point deadline, obs::TracePtr trace) {
-  const auto admission_start = std::chrono::steady_clock::now();
-  BatchJob<Query> job{spec, KeyFor(spec), false, std::move(queries),
-                      std::move(trace)};
-  // A box whose worst case costs about the pool hop is answered right here
-  // when its release is cached.  The answer comes from the very synopsis
-  // the lookup found: a concurrent eviction cannot turn this into a fit on
-  // the caller's thread.
-  std::shared_ptr<const release::Method> resident = cache_.Lookup(job.key);
-  if (resident != nullptr && InlineEligible(job.queries, *resident)) {
-    cache_.NoteHit();  // The hit FitSynopsis would have counted.
-    admission_.NoteAdmitted();
-    InlineRequestsCounter().Inc();
-    RecordAdmission(job.trace, admission_start);
-    if (DeadlineClock::now() > deadline) {
-      admission_.NoteExpired();
-      return Resolved<QueryBatchResponse>(
-          {Status::DeadlineExceeded("deadline passed before the request "
-                                    "ran; not run"),
-           {},
-           false});
+  Promise<ResponseTo<Query>> promise;
+  Future<ResponseTo<Query>> future = promise.future();
+  if (!prepared.ok()) {
+    promise.Set({prepared.status(), {}, false});
+  } else {
+    Admit<Query>(
+        {std::move(prepared).value(), std::move(queries), std::move(trace)},
+        deadline, std::move(promise));
+  }
+  return future;
+}
+
+template <typename Query>
+Status AsyncEngine::Screen(const std::vector<Query>& queries) const {
+  if constexpr (std::is_same_v<Query, Box>) {
+    // ValidateSpec already rejects spatial methods on a sequence engine,
+    // but box queries carry their own shape; keep the message direct.
+    if (!data_.is_spatial()) {
+      return Status::InvalidArgument(
+          "box query batches need a spatial served dataset; this server "
+          "serves sequence data (use SeqQueryBatch)");
     }
-    return Resolved(
-        RunBatch(job, std::move(resident), /*wait_us=*/0, /*watch=*/0));
+    for (const Box& q : queries) {
+      if (q.dim() != data_.dim()) {
+        return Status::InvalidArgument(
+            "query box dim " + std::to_string(q.dim()) + " != serving dim " +
+            std::to_string(data_.dim()));
+      }
+    }
+  } else if constexpr (std::is_same_v<Query, release::SequenceQuery>) {
+    if (!data_.is_sequence()) {
+      return Status::InvalidArgument(
+          "sequence query batches need a sequence served dataset; this "
+          "server serves spatial data");
+    }
+    for (const release::SequenceQuery& q : queries) {
+      if (Status screened = release::ValidateSequenceQuery(q, data_.dim());
+          !screened.ok()) {
+        return screened;
+      }
+    }
+  }
+  return Status::OK();
+}
+
+template <typename Query>
+bool AsyncEngine::Admit(Job<Query> job, DeadlineClock::time_point deadline,
+                        Promise<ResponseTo<Query>> promise) {
+  constexpr bool kFit = std::is_same_v<Query, NoQuery>;
+  if (Status screened = Screen(job.queries); !screened.ok()) {
+    promise.Set({std::move(screened), {}, false});
+    return false;
+  }
+  if constexpr (!kFit) {
+    const auto admission_start = std::chrono::steady_clock::now();
+    // A box whose worst case costs about the pool hop is answered right
+    // here when its release is cached.  The answer comes from the very
+    // synopsis the lookup found: a concurrent eviction cannot turn this
+    // into a fit on the caller's thread.
+    std::shared_ptr<const release::Method> resident =
+        cache_.Lookup(job.prepared.key);
+    // Queries against a cached synopsis bypass the fit-load gate (they
+    // cost no fit); only a query that must fit first counts as fit load.
+    job.needs_fit = resident == nullptr;
+    if (resident != nullptr && InlineEligible(job.queries, *resident)) {
+      cache_.NoteHit();  // The hit FitSynopsis would have counted.
+      admission_.NoteAdmitted();
+      InlineRequestsCounter().Inc();
+      RecordAdmission(job.trace, admission_start);
+      if (DeadlineClock::now() > deadline) {
+        admission_.NoteExpired();
+        promise.Set({Status::DeadlineExceeded("deadline passed before the "
+                                              "request ran; not run"),
+                     {},
+                     false});
+      } else {
+        RecordQueueWait(job.trace, 0);
+        promise.Set(RunJob(job, std::move(resident), /*watch=*/0));
+      }
+      return true;
+    }
   }
 
-  // Queries against a cached synopsis bypass the fit-load gate (they cost
-  // no fit); only a query that must fit first counts as fit load.
-  job.needs_fit = resident == nullptr;
-  if (job.needs_fit) admission_.BeginFit(job.key);
-  Promise<QueryBatchResponse> promise;
-  Future<QueryBatchResponse> future = promise.future();
+  if (job.needs_fit) admission_.BeginFit(job.prepared.key);
   auto shared =
-      std::make_shared<SettleOnce<QueryBatchResponse>>(std::move(promise));
-  auto queued = std::make_shared<const BatchJob<Query>>(std::move(job));
+      std::make_shared<SettleOnce<ResponseTo<Query>>>(std::move(promise));
+  auto queued = std::make_shared<const Job<Query>>(std::move(job));
   QueuedRequest request;
   request.deadline = deadline;
   request.expire = [this, shared, queued](Status status) {
-    if (queued->needs_fit) admission_.EndFit(queued->key);
+    if (queued->needs_fit) admission_.EndFit(queued->prepared.key);
     shared->Set({std::move(status), {}, false});
   };
   const auto submitted = std::chrono::steady_clock::now();
   request.run = [this, shared, queued, deadline, submitted] {
-    const std::uint64_t wait_us = MicrosSince(submitted);
+    RecordQueueWait(queued->trace, MicrosSince(submitted));
     const std::uint64_t watch = BeginWatch(deadline, [shared] {
       shared->Set({Status::DeadlineExceeded(
-                       "deadline passed while the request was running"),
+                       kFit ? "deadline passed while the fit was running"
+                            : "deadline passed while the request was "
+                              "running"),
                    {},
                    false});
     });
-    shared->Set(RunBatch(*queued, nullptr, wait_us, watch));
+    shared->Set(RunJob(*queued, nullptr, watch));
   };
   if (Status admitted = Enqueue(request, queued->needs_fit, queued->trace);
       !admitted.ok()) {
-    if (queued->needs_fit) admission_.EndFit(queued->key);
+    if (queued->needs_fit) admission_.EndFit(queued->prepared.key);
     shared->Set({std::move(admitted), {}, false});
+    return false;
   }
-  return future;
+  return true;
 }
 
 template <typename Query>
@@ -537,17 +545,14 @@ bool AsyncEngine::InlineEligible(const std::vector<Query>& queries,
 }
 
 template <typename Query>
-QueryBatchResponse AsyncEngine::RunBatch(
-    const BatchJob<Query>& job,
-    std::shared_ptr<const release::Method> resident, std::uint64_t wait_us,
+AsyncEngine::ResponseTo<Query> AsyncEngine::RunJob(
+    const Job<Query>& job, std::shared_ptr<const release::Method> resident,
     std::uint64_t watch) {
-  QueueWaitHistogram().Observe(wait_us);
-  if (job.trace) job.trace->Record(obs::Span::kQueueWait, wait_us);
   // The fault point stalls or fails a fit; an inline request runs none.
   if (resident == nullptr) {
     if (auto f = PRIVTREE_FAULT("engine.fit"); f && f.MaybeSleep()) {
       EndWatch(watch);
-      if (job.needs_fit) admission_.EndFit(job.key);
+      if (job.needs_fit) admission_.EndFit(job.prepared.key);
       return {f.ToStatus("engine.fit"), {}, false};
     }
   }
@@ -555,48 +560,30 @@ QueryBatchResponse AsyncEngine::RunBatch(
   const serve::FitResult fitted =
       resident != nullptr
           ? serve::FitResult{std::move(resident), 0.0, /*cache_hit=*/true}
-          : serve::FitSynopsis(data_, dataset_fingerprint_, JobFor(job.spec),
-                               &cache_);
+          : serve::FitSynopsis(data_, dataset_fingerprint_,
+                               JobFor(job.prepared.spec), &cache_);
   const std::uint64_t fit_us = MicrosSince(fit_start);
   FitHistogram().Observe(fit_us);
   if (job.trace) {
     job.trace->Record(obs::Span::kFit, fit_us);
     job.trace->cache_hit = fitted.cache_hit;
   }
-  if (job.needs_fit) admission_.EndFit(job.key);
-  // The watchdog guards the fit; once fitted, the batch is answered.
+  if (job.needs_fit) admission_.EndFit(job.prepared.key);
+  // The watchdog guards the fit; once fitted, the request is answered.
   EndWatch(watch);
-  // The batch runs on this one thread; concurrency comes from many
-  // requests in flight, and a fitted Method is safe to query from any
-  // number of them at once.
-  const auto kernel_start = std::chrono::steady_clock::now();
-  std::vector<double> answers = fitted.method->QueryBatch(job.queries);
-  const std::uint64_t kernel_us = MicrosSince(kernel_start);
-  KernelHistogram().Observe(kernel_us);
-  if (job.trace) job.trace->Record(obs::Span::kKernel, kernel_us);
-  return {Status::OK(), std::move(answers), fitted.cache_hit};
-}
-
-std::size_t AsyncEngine::Warm(std::span<const FitSpec> specs) {
-  std::size_t accepted = 0;
-  for (const FitSpec& spec : specs) {
-    if (!ValidateSpec(spec).ok()) continue;
-    const serve::SynopsisKey key = KeyFor(spec);
-    if (cache_.Lookup(key) != nullptr) continue;  // Already warm.
-    admission_.BeginFit(key);
-    QueuedRequest request;  // No deadline and nobody waits on a future.
-    request.expire = [this, key](Status) { admission_.EndFit(key); };
-    request.run = [this, spec, key] {
-      serve::FitSynopsis(data_, dataset_fingerprint_, JobFor(spec), &cache_);
-      admission_.EndFit(key);
-    };
-    if (Enqueue(request, /*needs_fit=*/true).ok()) {
-      ++accepted;
-    } else {
-      admission_.EndFit(key);
-    }
+  if constexpr (std::is_same_v<Query, NoQuery>) {
+    return {Status::OK(), fitted.method->Metadata(), fitted.cache_hit};
+  } else {
+    // The batch runs on this one thread; concurrency comes from many
+    // requests in flight, and a fitted Method is safe to query from any
+    // number of them at once.
+    const auto kernel_start = std::chrono::steady_clock::now();
+    std::vector<double> answers = fitted.method->QueryBatch(job.queries);
+    const std::uint64_t kernel_us = MicrosSince(kernel_start);
+    KernelHistogram().Observe(kernel_us);
+    if (job.trace) job.trace->Record(obs::Span::kKernel, kernel_us);
+    return {Status::OK(), std::move(answers), fitted.cache_hit};
   }
-  return accepted;
 }
 
 AsyncEngine::StatsSnapshot AsyncEngine::Stats() const {

@@ -343,15 +343,6 @@ Result<RegisterDatasetReply> Client::RegisterDataset(
   return reply;
 }
 
-Result<StatsReply> Client::Stats() {
-  Result<std::string> frame =
-      RoundTrip(EncodeStats(), /*idempotent=*/true);
-  if (!frame.ok()) return frame.status();
-  StatsReply reply;
-  if (Status s = DecodeStatsReply(frame.value(), &reply); !s.ok()) return s;
-  return reply;
-}
-
 Result<std::string> Client::GetStatsJson() {
   Result<std::string> frame =
       RoundTrip(EncodeGetStats(), /*idempotent=*/true);

@@ -113,9 +113,6 @@ class Client {
   /// server's admission control accepted.
   Result<std::uint64_t> Warm(std::span<const FitSpec> specs);
 
-  /// Serving telemetry snapshot.
-  Result<StatsReply> Stats();
-
   /// The server's observability snapshot (protocol v5 GetStats): the whole
   /// metrics registry as one JSON object, plus trace-ring and fault-point
   /// sections.  See obs::ProcessStatsJson for the schema.

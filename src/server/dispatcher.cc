@@ -1,7 +1,8 @@
 #include "server/dispatcher.h"
 
-#include <algorithm>
 #include <chrono>
+#include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "obs/export.h"
@@ -44,34 +45,68 @@ AsyncEngine* FindEngine(const DatasetRegistry& registry,
   return engine;
 }
 
-/// Validates the spec, charges the session, and hands back the charge
-/// bookkeeping the completion callback needs; a non-OK outcome already
-/// answered `done`.  Validation must precede KeyFor — canonicalizing the
-/// options of an unregistered method is a contract violation.
-struct BudgetTicket {
-  bool ok = false;
-  bool charged = false;
-  serve::SynopsisKey key;
-};
+std::string EncodeReply(const FitResponse& response) {
+  return EncodeFitReply({response.metadata, response.cache_hit});
+}
 
-BudgetTicket ChargeOrRefuse(AsyncEngine& engine, const FitSpec& spec,
-                            const std::shared_ptr<ClientSession>& session,
-                            const Dispatcher::Done& done) {
-  if (Status valid = engine.ValidateSpec(spec); !valid.ok()) {
-    done(EncodeErrorReply(valid));
-    return {};
+std::string EncodeReply(const QueryBatchResponse& response) {
+  return EncodeQueryBatchReply({response.answers, response.cache_hit});
+}
+
+/// The one path of every fit-carrying frame (Fit, QueryBatch,
+/// SeqQueryBatch): decode, find the tenant, prepare the spec once, charge
+/// the session on its key, submit, refund the charge if the request fails,
+/// and encode the reply under the serialize span.  A Fit submits no
+/// queries.  This is the one place a session is charged and the one place
+/// it is refunded.
+template <typename Request>
+void ServeFitCarrying(const DatasetRegistry& registry,
+                      std::string_view payload,
+                      Status (*decode)(std::string_view, Request*),
+                      const std::shared_ptr<ClientSession>& session,
+                      Dispatcher::Done done, obs::TracePtr trace) {
+  Request request;
+  if (Status s = decode(payload, &request); !s.ok()) {
+    done(EncodeErrorReply(s));
+    return;
   }
-  BudgetTicket ticket;
-  ticket.key = engine.KeyFor(spec);
+  AsyncEngine* engine =
+      FindEngine(registry, request.dataset_fingerprint, done);
+  if (engine == nullptr) return;
+  Result<PreparedSpec> prepared = engine->Prepare(std::move(request.spec));
+  if (!prepared.ok()) {
+    done(EncodeErrorReply(prepared.status()));
+    return;
+  }
+  const double epsilon = prepared.value().spec.epsilon;
   const ClientSession::ChargeOutcome outcome =
-      session->Charge(ticket.key, spec.epsilon);
+      session->Charge(prepared.value().key, epsilon);
   if (!outcome.status.ok()) {
     done(EncodeErrorReply(outcome.status));
-    return {};
+    return;
   }
-  ticket.ok = true;
-  ticket.charged = outcome.charged;
-  return ticket;
+  // Only a request that debited the budget keeps its key for a refund.
+  std::optional<serve::SynopsisKey> refund;
+  if (outcome.charged) refund = prepared.value().key;
+  const DeadlineClock::time_point deadline =
+      DeadlineFromMillis(request.deadline_millis);
+  auto future = [&] {
+    if constexpr (std::is_same_v<Request, FitRequest>) {
+      return engine->Submit(std::move(prepared).value(), deadline, trace);
+    } else {
+      return engine->Submit(std::move(prepared).value(),
+                            std::move(request.queries), deadline, trace);
+    }
+  }();
+  future.OnReady([done = std::move(done), session, refund = std::move(refund),
+                  epsilon, trace](const auto& response) {
+    if (!response.status.ok()) {
+      if (refund) session->Refund(*refund, epsilon);
+      done(EncodeErrorReply(response.status));
+      return;
+    }
+    done(EncodeWithSpan(trace, [&] { return EncodeReply(response); }));
+  });
 }
 
 }  // namespace
@@ -116,106 +151,23 @@ void Dispatcher::HandleFrame(std::string_view payload,
       done(HandleHello(payload, *session));
       return;
 
-    case MessageType::kFit: {
-      FitRequest request;
-      if (Status s = DecodeFit(payload, &request); !s.ok()) {
-        done(EncodeErrorReply(s));
-        return;
-      }
-      AsyncEngine* engine =
-          FindEngine(registry_, request.dataset_fingerprint, done);
-      if (engine == nullptr) return;
-      const BudgetTicket ticket =
-          ChargeOrRefuse(*engine, request.spec, session, done);
-      if (!ticket.ok) return;
-      const double epsilon = request.spec.epsilon;
-      engine
-          ->SubmitFit(request.spec,
-                      DeadlineFromMillis(request.deadline_millis), trace)
-          .OnReady([done = std::move(done), session, ticket, epsilon,
-                    trace](const FitResponse& response) {
-            if (!response.status.ok()) {
-              if (ticket.charged) session->Refund(ticket.key, epsilon);
-              done(EncodeErrorReply(response.status));
-              return;
-            }
-            done(EncodeWithSpan(trace, [&] {
-              return EncodeFitReply({response.metadata, response.cache_hit});
-            }));
-          });
+    case MessageType::kFit:
+      ServeFitCarrying(registry_, payload, DecodeFit, session,
+                       std::move(done), std::move(trace));
       return;
-    }
 
-    case MessageType::kQueryBatch: {
-      QueryBatchRequest request;
-      if (Status s = DecodeQueryBatch(payload, &request); !s.ok()) {
-        done(EncodeErrorReply(s));
-        return;
-      }
-      AsyncEngine* engine =
-          FindEngine(registry_, request.dataset_fingerprint, done);
-      if (engine == nullptr) return;
-      const BudgetTicket ticket =
-          ChargeOrRefuse(*engine, request.spec, session, done);
-      if (!ticket.ok) return;
-      const double epsilon = request.spec.epsilon;
-      engine
-          ->SubmitQueryBatch(request.spec, std::move(request.queries),
-                             DeadlineFromMillis(request.deadline_millis),
-                             trace)
-          .OnReady([done = std::move(done), session, ticket, epsilon,
-                    trace](const QueryBatchResponse& response) {
-            if (!response.status.ok()) {
-              if (ticket.charged) session->Refund(ticket.key, epsilon);
-              done(EncodeErrorReply(response.status));
-              return;
-            }
-            done(EncodeWithSpan(trace, [&] {
-              return EncodeQueryBatchReply(
-                  {response.answers, response.cache_hit});
-            }));
-          });
+    case MessageType::kQueryBatch:
+      ServeFitCarrying(registry_, payload, DecodeQueryBatch, session,
+                       std::move(done), std::move(trace));
       return;
-    }
 
-    case MessageType::kSeqQueryBatch: {
-      SeqQueryBatchRequest request;
-      if (Status s = DecodeSeqQueryBatch(payload, &request); !s.ok()) {
-        done(EncodeErrorReply(s));
-        return;
-      }
-      AsyncEngine* engine =
-          FindEngine(registry_, request.dataset_fingerprint, done);
-      if (engine == nullptr) return;
-      const BudgetTicket ticket =
-          ChargeOrRefuse(*engine, request.spec, session, done);
-      if (!ticket.ok) return;
-      const double epsilon = request.spec.epsilon;
-      engine
-          ->SubmitSeqQueryBatch(request.spec, std::move(request.queries),
-                                DeadlineFromMillis(request.deadline_millis),
-                                trace)
-          .OnReady([done = std::move(done), session, ticket, epsilon,
-                    trace](const QueryBatchResponse& response) {
-            if (!response.status.ok()) {
-              if (ticket.charged) session->Refund(ticket.key, epsilon);
-              done(EncodeErrorReply(response.status));
-              return;
-            }
-            done(EncodeWithSpan(trace, [&] {
-              return EncodeQueryBatchReply(
-                  {response.answers, response.cache_hit});
-            }));
-          });
+    case MessageType::kSeqQueryBatch:
+      ServeFitCarrying(registry_, payload, DecodeSeqQueryBatch, session,
+                       std::move(done), std::move(trace));
       return;
-    }
 
     case MessageType::kWarm:
       done(HandleWarm(payload));
-      return;
-
-    case MessageType::kStats:
-      done(HandleStats());
       return;
 
     case MessageType::kGetStats:
@@ -282,37 +234,6 @@ std::string Dispatcher::HandleWarm(std::string_view payload) const {
                          std::to_string(request.dataset_fingerprint)));
   }
   return EncodeWarmReply({engine->Warm(request.specs)});
-}
-
-std::string Dispatcher::HandleStats() const {
-  // Queue and admission tallies sum over every tenant's engine; the cache
-  // is shared, so its counters are taken once (from any engine).
-  StatsReply reply;
-  bool have_cache = false;
-  for (const DatasetInfo& info : registry_.List()) {
-    AsyncEngine* engine = registry_.Find(info.fingerprint);
-    if (engine == nullptr) continue;
-    const AsyncEngine::StatsSnapshot snapshot = engine->Stats();
-    reply.queue_depth += snapshot.queue_depth;
-    reply.queue_max_depth =
-        std::max<std::uint64_t>(reply.queue_max_depth,
-                                snapshot.queue_max_depth);
-    reply.admitted += snapshot.admission.admitted;
-    reply.shed_queue_full += snapshot.admission.shed_queue_full;
-    reply.shed_cache_saturated += snapshot.admission.shed_cache_saturated;
-    reply.expired += snapshot.admission.expired;
-    reply.coalesced_fits += snapshot.admission.coalesced_fits;
-    if (!have_cache) {
-      have_cache = true;
-      reply.cache_hits = snapshot.cache.hits;
-      reply.cache_misses = snapshot.cache.misses;
-      reply.cache_evictions = snapshot.cache.evictions;
-      reply.spill_writes = snapshot.cache.spill_writes;
-      reply.spill_pending = snapshot.cache.spill_pending;
-      reply.writeback_hits = snapshot.cache.writeback_hits;
-    }
-  }
-  return EncodeStatsReply(reply);
 }
 
 std::string Dispatcher::HandleRegisterDataset(

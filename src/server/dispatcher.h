@@ -6,7 +6,7 @@
 // so it holds no protocol semantics of its own.
 //
 // The API is asynchronous: HandleFrame invokes `done(reply)` exactly once —
-// synchronously for control frames (Hello, Warm, Stats, Shutdown,
+// synchronously for control frames (Hello, Warm, GetStats, Shutdown,
 // RegisterDataset), every error caught before submission and a one-box
 // batch on a small cached release (which the engine answers on the calling
 // thread), or from a pool thread's completion callback for the other
@@ -14,12 +14,19 @@
 // the event loop pipeline requests without parking a thread per in-flight
 // frame.
 //
+// The three fit-carrying frames share one handler: decode, find the
+// tenant, AsyncEngine::Prepare (validate and key the spec once), charge
+// the session on that key, AsyncEngine::Submit, refund in the completion
+// when the request failed, encode the reply.  Each frame type differs only
+// in its decoder, its Submit overload and its reply encoder.
+//
 // Budget semantics: every fit-carrying request charges its spec's ε to the
 // session the first time the session touches that synopsis key (repeats
 // are free — queries are post-processing); a request that then *fails*
-// refunds the charge.  Warm is exempt: prefetch returns no released
-// values, and billing a background cache fill to whichever client happened
-// to request it would double-charge the client that later reads it.
+// (shed, expired, screened out, a failed fit) refunds the charge.  Warm is
+// exempt: prefetch returns no released values, and billing a background
+// cache fill to whichever client happened to request it would
+// double-charge the client that later reads it.
 #ifndef PRIVTREE_SERVER_DISPATCHER_H_
 #define PRIVTREE_SERVER_DISPATCHER_H_
 
@@ -81,7 +88,6 @@ class Dispatcher {
   std::string HandleHello(std::string_view payload,
                           const ClientSession& session) const;
   std::string HandleWarm(std::string_view payload) const;
-  std::string HandleStats() const;
   std::string HandleRegisterDataset(std::string_view payload) const;
 
   DatasetRegistry& registry_;

@@ -62,7 +62,6 @@ Result<MessageType> PeekType(std::string_view payload) {
     case MessageType::kQueryBatch:
     case MessageType::kSeqQueryBatch:
     case MessageType::kWarm:
-    case MessageType::kStats:
     case MessageType::kShutdown:
     case MessageType::kRegisterDataset:
     case MessageType::kTraced:
@@ -71,7 +70,6 @@ Result<MessageType> PeekType(std::string_view payload) {
     case MessageType::kFitReply:
     case MessageType::kQueryBatchReply:
     case MessageType::kWarmReply:
-    case MessageType::kStatsReply:
     case MessageType::kShutdownReply:
     case MessageType::kRegisterDatasetReply:
     case MessageType::kGetStatsReply:
@@ -390,43 +388,6 @@ Status DecodeWarmReply(std::string_view payload, WarmReply* out) {
     return Malformed("WarmReply");
   }
   return Finish(r, "WarmReply");
-}
-
-std::string EncodeStats() {
-  std::string out;
-  ByteWriter w(&out);
-  PutTag(w, MessageType::kStats);
-  return out;
-}
-
-std::string EncodeStatsReply(const StatsReply& reply) {
-  std::string out;
-  ByteWriter w(&out);
-  PutTag(w, MessageType::kStatsReply);
-  for (const std::uint64_t value :
-       {reply.queue_depth, reply.queue_max_depth, reply.admitted,
-        reply.shed_queue_full, reply.shed_cache_saturated, reply.expired,
-        reply.coalesced_fits, reply.cache_hits, reply.cache_misses,
-        reply.cache_evictions, reply.spill_writes, reply.spill_pending,
-        reply.writeback_hits}) {
-    w.U64(value);
-  }
-  return out;
-}
-
-Status DecodeStatsReply(std::string_view payload, StatsReply* out) {
-  ByteReader r(payload);
-  bool ok = TakeTag(r, MessageType::kStatsReply);
-  for (std::uint64_t* field :
-       {&out->queue_depth, &out->queue_max_depth, &out->admitted,
-        &out->shed_queue_full, &out->shed_cache_saturated, &out->expired,
-        &out->coalesced_fits, &out->cache_hits, &out->cache_misses,
-        &out->cache_evictions, &out->spill_writes, &out->spill_pending,
-        &out->writeback_hits}) {
-    ok = ok && r.U64(field);
-  }
-  if (!ok) return Malformed("StatsReply");
-  return Finish(r, "StatsReply");
 }
 
 std::string EncodeTraced(std::uint64_t trace_id, std::string_view inner) {

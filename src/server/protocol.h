@@ -23,7 +23,6 @@
 //                    (SequenceQueryKind), u32 k, u32 max_len,
 //                    u32 symbol count, u32 × count symbols (each < 65536)
 //   Warm             u64 dataset fingerprint, u64 count, then count FitSpecs
-//   Stats            (empty)
 //   GetStats         (empty; reply is the JSON observability snapshot)
 //   Traced           u64 trace id, then one complete inner request payload
 //                    (tag + body; nesting Traced inside Traced is rejected)
@@ -54,7 +53,6 @@
 //                    SeqQueryBatch — a sequence batch is one double per
 //                    spec, exactly like a box batch)
 //   WarmReply        u64 accepted
-//   StatsReply       13 × u64 (see struct StatsReply)
 //   GetStatsReply    str JSON (obs::ProcessStatsJson)
 //   RegisterDatasetReply  u64 fingerprint, u64 record count
 //   ErrorReply       u32 status code (StatusCode), str message,
@@ -90,9 +88,10 @@ namespace privtree::server {
 /// v4 added the ErrorReply retry-after hint (u64 milliseconds, 0 = none).
 /// v5 added observability: the optional Traced envelope (a u64 trace id
 /// wrapped around any request frame) and the GetStats JSON snapshot frame.
+/// v6 removed Stats (tags 5 and 105): GetStats is the one stats frame.
 /// The server speaks exactly this version: a Hello carrying any other one
 /// is refused with InvalidArgument.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 /// Upper bound on one frame payload (a sanity cap against a garbage length
 /// prefix, not a protocol limit).
@@ -103,7 +102,6 @@ enum class MessageType : std::uint32_t {
   kFit = 2,
   kQueryBatch = 3,
   kWarm = 4,
-  kStats = 5,
   kShutdown = 6,
   kSeqQueryBatch = 7,
   kRegisterDataset = 8,
@@ -113,7 +111,6 @@ enum class MessageType : std::uint32_t {
   kFitReply = 102,
   kQueryBatchReply = 103,
   kWarmReply = 104,
-  kStatsReply = 105,
   kShutdownReply = 106,
   kRegisterDatasetReply = 107,
   kGetStatsReply = 108,
@@ -212,23 +209,6 @@ struct WarmReply {
   std::uint64_t accepted = 0;
 };
 
-/// Flat serving telemetry (an AsyncEngine::StatsSnapshot on the wire).
-struct StatsReply {
-  std::uint64_t queue_depth = 0;
-  std::uint64_t queue_max_depth = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t shed_queue_full = 0;
-  std::uint64_t shed_cache_saturated = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t coalesced_fits = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t spill_writes = 0;
-  std::uint64_t spill_pending = 0;
-  std::uint64_t writeback_hits = 0;
-};
-
 /// Reads the message-type tag without consuming the payload.
 Result<MessageType> PeekType(std::string_view payload);
 
@@ -246,8 +226,6 @@ std::string EncodeSeqQueryBatch(const SeqQueryBatchRequest& request);
 std::string EncodeQueryBatchReply(const QueryBatchReply& reply);
 std::string EncodeWarm(const WarmRequest& request);
 std::string EncodeWarmReply(const WarmReply& reply);
-std::string EncodeStats();
-std::string EncodeStatsReply(const StatsReply& reply);
 /// Wraps a complete inner request payload with a u64 trace id (protocol
 /// v5); servers unwrap it transparently, so wrapping never changes the
 /// reply bytes.
@@ -276,7 +254,6 @@ Status DecodeSeqQueryBatch(std::string_view payload,
 Status DecodeQueryBatchReply(std::string_view payload, QueryBatchReply* out);
 Status DecodeWarm(std::string_view payload, WarmRequest* out);
 Status DecodeWarmReply(std::string_view payload, WarmReply* out);
-Status DecodeStatsReply(std::string_view payload, StatsReply* out);
 /// The inner view aliases `payload`; it stays valid while payload does.
 /// Rejects an empty inner payload and a nested Traced envelope.
 Status DecodeTraced(std::string_view payload, std::uint64_t* trace_id,

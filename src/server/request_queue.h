@@ -6,7 +6,8 @@
 // Unavailable error instead of queueing unboundedly.  Each entry carries
 // its deadline plus two continuations — `run` executes the request,
 // `expire` resolves its future with an error — so the popping executor can
-// retire an expired request without ever running it.
+// retire an expired request without ever running it.  The process-wide
+// `engine.queue_depth` gauge follows every push and pop.
 #ifndef PRIVTREE_SERVER_REQUEST_QUEUE_H_
 #define PRIVTREE_SERVER_REQUEST_QUEUE_H_
 

@@ -136,23 +136,6 @@ TEST(ParallelRunnerTest, SecondSweepIsAllCacheHits) {
   EXPECT_EQ(cache.stats().hits, second.size());
 }
 
-TEST(ParallelRunnerTest, PrefetchWarmsTheCache) {
-  const PointSet points = TestPoints();
-  const Box domain = Box::UnitCube(2);
-  ThreadPool pool(4);
-  SynopsisCache cache(64);
-  const ParallelRunner runner(pool, &cache);
-
-  runner.Prefetch(points, domain, SweepJobs());
-  pool.WaitIdle();
-  const std::size_t prefetched = cache.stats().misses;
-  EXPECT_EQ(cache.size(), SweepJobs().size());
-
-  const auto served = runner.FitAllTimed(points, domain, SweepJobs());
-  for (const FitResult& r : served) EXPECT_TRUE(r.cache_hit);
-  EXPECT_EQ(cache.stats().misses, prefetched);  // Nothing re-fitted.
-}
-
 TEST(ParallelRunnerTest, ParallelQueryBatchMatchesSingleBatch) {
   const PointSet points = TestPoints();
   const Box domain = Box::UnitCube(2);

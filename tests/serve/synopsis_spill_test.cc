@@ -240,19 +240,6 @@ TEST_F(SynopsisSpillTest, WritebackBufferServesEvictionsWithoutRefit) {
   EXPECT_EQ(cache.stats().spill_pending, 0u);
 }
 
-TEST_F(SynopsisSpillTest, SynchronousModeWritesOnTheEvictingThread) {
-  const PointSet points = TestPoints();
-  SynopsisCache cache(
-      1, SpillOptions{dir(), 8, /*background_writer=*/false});
-  cache.GetOrFit(KeyFor(1), [&] { return FitUg(points, 1); });
-  cache.GetOrFit(KeyFor(2), [&] { return FitUg(points, 2); });
-  // No flush needed: the evicting caller did the write itself.
-  EXPECT_EQ(cache.stats().spill_writes, 1u);
-  EXPECT_EQ(cache.stats().spill_pending, 0u);
-  EXPECT_EQ(cache.stats().spill_write_batches, 0u);
-  EXPECT_EQ(cache.SpillFileCount(), 1u);
-}
-
 TEST_F(SynopsisSpillTest, KeyFingerprintsAreStableAndDistinct) {
   const std::string a = SynopsisKeyFingerprint(KeyFor(1));
   EXPECT_EQ(a, SynopsisKeyFingerprint(KeyFor(1)));

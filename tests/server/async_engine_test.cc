@@ -7,7 +7,8 @@
 //   * a request whose deadline passes while queued is retired with
 //     DeadlineExceeded and never executes;
 //   * identical in-flight fits coalesce onto the cache's single-flight
-//     path; Warm() fills the cache in the background;
+//     path; Warm() fills the cache in the background through the same
+//     queued body (one queue-wait sample per admitted warm fit);
 //   * a one-box batch on a small cached release is answered before
 //     SubmitQueryBatch returns, bit-for-bit as the pool would, while bigger
 //     batches, uncached or large releases and sequence batches still wait
@@ -317,6 +318,32 @@ TEST(AsyncEngineTest, WarmPrefetchesTheCache) {
   const FitResponse& fitted = engine.SubmitFit(specs[0]).Get();
   ASSERT_TRUE(fitted.status.ok());
   EXPECT_TRUE(fitted.cache_hit);
+}
+
+TEST(AsyncEngineTest, WarmRecordsAQueueWaitPerAdmittedFit) {
+  const PointSet points = TestPoints(100);
+  serve::ThreadPool pool(2);
+  serve::SynopsisCache cache(16);
+  AsyncEngine engine(points, Box::UnitCube(2), pool, cache);
+  obs::Histogram& waits =
+      obs::Registry::Global().GetHistogram("engine.queue_wait_us");
+  obs::Histogram& fits = obs::Registry::Global().GetHistogram("engine.fit_us");
+  const std::uint64_t waits_before = waits.Count();
+  const std::uint64_t fits_before = fits.Count();
+
+  // A warm fit runs the body every queued Fit runs: one queue-wait and one
+  // fit sample per admitted request, as for any other request.
+  const std::vector<FitSpec> specs = {
+      {"ug", {}, kEpsilon, kSeed + 7},
+      {"privtree", {}, kEpsilon, kSeed + 7},
+      {"nonsense", {}, kEpsilon, kSeed + 7},  // Skipped, never admitted.
+  };
+  EXPECT_EQ(engine.Warm(specs), 2u);
+  pool.WaitIdle();
+  const std::size_t admitted = engine.Stats().admission.admitted;
+  EXPECT_EQ(admitted, 2u);
+  EXPECT_EQ(waits.Count() - waits_before, admitted);
+  EXPECT_EQ(fits.Count() - fits_before, admitted);
 }
 
 TEST(AsyncEngineTest, InvalidSpecsResolveImmediately) {

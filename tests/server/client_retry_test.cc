@@ -72,7 +72,7 @@ TEST(ClientRetryTest, ServedUnavailableBacksOffHonoringRetryAfter) {
     auto conn = listener.value().Accept();
     ASSERT_TRUE(conn.ok());
     AnswerHello(conn.value());
-    // First Stats: shed with a 120ms retry-after hint.  Second: serve.
+    // First GetStats: shed with a 120ms retry-after hint.  Second: serve.
     auto first = conn.value().RecvFrame();
     ASSERT_TRUE(first.ok());
     ASSERT_TRUE(conn.value()
@@ -81,9 +81,8 @@ TEST(ClientRetryTest, ServedUnavailableBacksOffHonoringRetryAfter) {
                     .ok());
     auto second = conn.value().RecvFrame();
     ASSERT_TRUE(second.ok());
-    StatsReply stats;
-    stats.admitted = 7;
-    ASSERT_TRUE(conn.value().SendFrame(EncodeStatsReply(stats)).ok());
+    ASSERT_TRUE(
+        conn.value().SendFrame(EncodeGetStatsReply("{\"served\":7}")).ok());
   });
 
   ClientOptions options;
@@ -92,9 +91,9 @@ TEST(ClientRetryTest, ServedUnavailableBacksOffHonoringRetryAfter) {
   auto client = Client::Connect("127.0.0.1", listener.value().port(), options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   const auto start = Clock::now();
-  auto stats = client.value().Stats();
+  auto stats = client.value().GetStatsJson();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats.value().admitted, 7u);
+  EXPECT_EQ(stats.value(), "{\"served\":7}");
   // The wait honored the server's floor, and no reconnect happened (the
   // shed reply arrived on a healthy connection).
   EXPECT_GE(MillisSince(start), 110);
@@ -107,7 +106,7 @@ TEST(ClientRetryTest, TransportFailureReconnectsAndResends) {
   auto listener = ListenSocket::Listen(0);
   ASSERT_TRUE(listener.ok());
   std::thread server([&] {
-    {  // First connection: handshake, then die before answering Stats.
+    {  // First connection: handshake, then die before answering GetStats.
       auto conn = listener.value().Accept();
       ASSERT_TRUE(conn.ok());
       AnswerHello(conn.value());
@@ -119,9 +118,8 @@ TEST(ClientRetryTest, TransportFailureReconnectsAndResends) {
     AnswerHello(conn.value());
     auto request = conn.value().RecvFrame();
     ASSERT_TRUE(request.ok());
-    StatsReply stats;
-    stats.admitted = 9;
-    ASSERT_TRUE(conn.value().SendFrame(EncodeStatsReply(stats)).ok());
+    ASSERT_TRUE(
+        conn.value().SendFrame(EncodeGetStatsReply("{\"served\":9}")).ok());
   });
 
   ClientOptions options;
@@ -129,9 +127,9 @@ TEST(ClientRetryTest, TransportFailureReconnectsAndResends) {
   options.base_backoff_millis = 1;
   auto client = Client::Connect("127.0.0.1", listener.value().port(), options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  auto stats = client.value().Stats();
+  auto stats = client.value().GetStatsJson();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats.value().admitted, 9u);
+  EXPECT_EQ(stats.value(), "{\"served\":9}");
   EXPECT_EQ(client.value().telemetry().retries, 1u);
   EXPECT_EQ(client.value().telemetry().reconnects, 1u);
   server.join();
@@ -164,9 +162,8 @@ TEST(ClientRetryTest, FailedReconnectDoesNotCountAsRetry) {
     AnswerHello(conn.value());
     auto request = conn.value().RecvFrame();
     ASSERT_TRUE(request.ok());
-    StatsReply stats;
-    stats.admitted = 11;
-    ASSERT_TRUE(conn.value().SendFrame(EncodeStatsReply(stats)).ok());
+    ASSERT_TRUE(
+        conn.value().SendFrame(EncodeGetStatsReply("{\"served\":11}")).ok());
   });
 
   ClientOptions options;
@@ -175,9 +172,9 @@ TEST(ClientRetryTest, FailedReconnectDoesNotCountAsRetry) {
   options.connect_timeout_millis = 200;  // Bounds the silent Hello quickly.
   auto client = Client::Connect("127.0.0.1", listener.value().port(), options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  auto stats = client.value().Stats();
+  auto stats = client.value().GetStatsJson();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats.value().admitted, 11u);
+  EXPECT_EQ(stats.value(), "{\"served\":11}");
   EXPECT_EQ(client.value().telemetry().retries, 1u);
   EXPECT_EQ(client.value().telemetry().reconnects, 1u);
   server.join();

@@ -262,7 +262,7 @@ TEST_F(MultiTenantFixture, TenantWiderThanTheMortonIndexIsRefusedCleanly) {
   // The server is still up and the same connection keeps serving.
   client.SelectDataset(0);
   EXPECT_TRUE(client.Fit({"privtree", {}, kEpsilon, kSeed}).ok());
-  EXPECT_TRUE(MustConnect().Stats().ok());
+  EXPECT_TRUE(MustConnect().GetStatsJson().ok());
 }
 
 TEST_F(MultiTenantFixture, UnusableDomainIsRefusedNotFatal) {
@@ -295,7 +295,7 @@ TEST_F(MultiTenantFixture, UnusableDomainIsRefusedNotFatal) {
 
   // The server still answers, on the same connection and on a new one.
   EXPECT_TRUE(client.Fit({"privtree", {}, kEpsilon, kSeed}).ok());
-  EXPECT_TRUE(MustConnect().Stats().ok());
+  EXPECT_TRUE(MustConnect().GetStatsJson().ok());
 }
 
 TEST_F(MultiTenantFixture, ManyConcurrentConnectionsServeMixedTrafficExactly) {
@@ -446,7 +446,7 @@ TEST_F(BudgetFixture, ExhaustionFailsCleanlyAndOthersKeepServing) {
   EXPECT_TRUE(fresh.Fit({"privtree", {}, kEpsilon, kSeed + 2}).ok());
 
   // And the broke session still serves control frames.
-  EXPECT_TRUE(spender.Stats().ok());
+  EXPECT_TRUE(spender.GetStatsJson().ok());
 }
 
 TEST_F(BudgetFixture, RejectedSpecDoesNotBurnBudget) {

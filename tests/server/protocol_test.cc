@@ -138,22 +138,6 @@ TEST(ProtocolTest, WarmRoundTrip) {
   EXPECT_EQ(reply.accepted, 2u);
 }
 
-TEST(ProtocolTest, StatsReplyRoundTrip) {
-  StatsReply reply;
-  reply.queue_depth = 3;
-  reply.admitted = 100;
-  reply.shed_queue_full = 7;
-  reply.expired = 2;
-  reply.writeback_hits = 5;
-  StatsReply decoded;
-  ASSERT_TRUE(DecodeStatsReply(EncodeStatsReply(reply), &decoded).ok());
-  EXPECT_EQ(decoded.queue_depth, 3u);
-  EXPECT_EQ(decoded.admitted, 100u);
-  EXPECT_EQ(decoded.shed_queue_full, 7u);
-  EXPECT_EQ(decoded.expired, 2u);
-  EXPECT_EQ(decoded.writeback_hits, 5u);
-}
-
 TEST(ProtocolTest, TracedWrapperRoundTripsIdAndInnerPayload) {
   const std::string inner = EncodeFit({SampleSpec(), 1500});
   const std::string payload = EncodeTraced(0xABCDEF0123456789ull, inner);
