@@ -46,7 +46,6 @@
 // Spatial query lines are "lo_1 hi_1 ... lo_d hi_d"; sequence query lines
 // are "freq s1 s2 ...", "prefix s1 s2 ..." or "topk <k> <max_len>" (see
 // release/sequence_query.h).  The answer is printed per line.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -128,13 +127,12 @@ struct CliFlags {
 };
 
 /// Parses trailing --method=/--options= flags; returns false (after a
-/// diagnostic) on an unknown flag, unregistered method name, a method
-/// whose registry kind does not match the input kind, malformed options
-/// text, an option key the method does not accept, a value that fails the
-/// key's type or declared range, or a method that cannot fit the input's
-/// dimensionality.
+/// diagnostic) on an unknown flag or malformed options text, and on any
+/// spec the server would refuse too: the method, options and `epsilon` go
+/// through the registry's one screen (MethodRegistry::CheckFit) for the
+/// input's kind and dimensionality.
 bool ParseFlags(int argc, char** argv, int first_flag, InputKind input,
-                CliFlags* flags) {
+                double epsilon, CliFlags* flags) {
   if (input.sequence) flags->method = "pst_privtree";
   for (int i = first_flag; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -170,60 +168,15 @@ bool ParseFlags(int argc, char** argv, int first_flag, InputKind input,
       return false;
     }
   }
-  const auto& registry = privtree::release::GlobalMethodRegistry();
-  if (!registry.Contains(flags->method)) {
-    std::fprintf(stderr,
-                 "error: unknown method \"%s\" (see `privtree_cli list`)\n",
-                 flags->method.c_str());
+  if (privtree::Status screened =
+          privtree::release::GlobalMethodRegistry().CheckFit(
+              flags->method, flags->options, epsilon,
+              input.sequence ? privtree::release::DatasetKind::kSequence
+                             : privtree::release::DatasetKind::kSpatial,
+              input.dim);
+      !screened.ok()) {
+    std::fprintf(stderr, "error: %s\n", screened.message().c_str());
     return false;
-  }
-  const privtree::release::DatasetKind wanted =
-      input.sequence ? privtree::release::DatasetKind::kSequence
-                     : privtree::release::DatasetKind::kSpatial;
-  if (registry.Kind(flags->method) != wanted) {
-    std::fprintf(
-        stderr,
-        "error: method \"%s\" fits %s datasets; the input here is %s "
-        "(use %s)\n",
-        flags->method.c_str(),
-        std::string(privtree::release::DatasetKindName(
-                        registry.Kind(flags->method)))
-            .c_str(),
-        std::string(privtree::release::DatasetKindName(wanted)).c_str(),
-        input.sequence ? "a sequence method, e.g. --method=pst_privtree"
-                       : "a spatial method, e.g. --method=privtree");
-    return false;
-  }
-  const std::size_t required_dim = registry.RequiredDim(flags->method);
-  if (!input.sequence && required_dim != 0 && input.dim != required_dim) {
-    std::fprintf(stderr,
-                 "error: method \"%s\" requires %zu-dimensional data "
-                 "(got dim=%zu)\n",
-                 flags->method.c_str(), required_dim, input.dim);
-    return false;
-  }
-  const auto& allowed = registry.AllowedKeys(flags->method);
-  for (const std::string& key : flags->options.Keys()) {
-    const auto it =
-        std::find_if(allowed.begin(), allowed.end(),
-                     [&](const auto& candidate) {
-                       return candidate.name == key;
-                     });
-    if (it == allowed.end()) {
-      std::fprintf(stderr, "error: method \"%s\" has no option \"%s\";",
-                   flags->method.c_str(), key.c_str());
-      std::fprintf(stderr, " allowed:");
-      for (const auto& k : allowed) {
-        std::fprintf(stderr, " %s", k.name.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      return false;
-    }
-    const std::string value = flags->options.GetString(key, "");
-    if (auto s = privtree::release::CheckOptionValue(*it, value); !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.message().c_str());
-      return false;
-    }
   }
   return true;
 }
@@ -402,10 +355,10 @@ std::shared_ptr<const privtree::release::Method> FitFromCsv(
 int RunRun(int argc, char** argv) {
   if (argc < 5) return Usage(argv[0]);
   InputKind input;
+  if (!ParseDimArg(argv[3], &input)) return Usage(argv[0]);
   const double epsilon = std::atof(argv[4]);
-  if (!ParseDimArg(argv[3], &input) || epsilon <= 0.0) return Usage(argv[0]);
   CliFlags flags;
-  if (!ParseFlags(argc, argv, 5, input, &flags)) return 2;
+  if (!ParseFlags(argc, argv, 5, input, epsilon, &flags)) return 2;
   if (!flags.dataset.empty()) {
     std::fprintf(stderr, "error: --dataset only applies to --connect\n");
     return 2;
@@ -437,11 +390,11 @@ int RunRun(int argc, char** argv) {
 int RunBuild(int argc, char** argv) {
   if (argc < 6) return Usage(argv[0]);
   InputKind input;
+  if (!ParseDimArg(argv[3], &input)) return Usage(argv[0]);
   const double epsilon = std::atof(argv[4]);
-  if (!ParseDimArg(argv[3], &input) || epsilon <= 0.0) return Usage(argv[0]);
   const std::string out_path = argv[5];
   CliFlags flags;
-  if (!ParseFlags(argc, argv, 6, input, &flags)) return 2;
+  if (!ParseFlags(argc, argv, 6, input, epsilon, &flags)) return 2;
   if (!flags.dataset.empty()) {
     std::fprintf(stderr, "error: --dataset only applies to --connect\n");
     return 2;
@@ -540,7 +493,6 @@ int RunRemoteQuery(int argc, char** argv) {
   std::uint16_t port = 0;
   if (!ParseConnect(argv[2], &host, &port)) return 2;
   const double epsilon = std::atof(argv[3]);
-  if (epsilon <= 0.0) return Usage(argv[0]);
 
   auto connected = privtree::server::Client::Connect(host, port,
                                                   ResilientClientOptions());
@@ -572,7 +524,7 @@ int RunRemoteQuery(int argc, char** argv) {
     input.dim = static_cast<std::size_t>(tenant.dim);
   }
   CliFlags flags;
-  if (!ParseFlags(argc, argv, 4, input, &flags)) return 2;
+  if (!ParseFlags(argc, argv, 4, input, epsilon, &flags)) return 2;
 
   const privtree::server::FitSpec spec{flags.method, flags.options, epsilon,
                                        /*seed=*/0xC11};

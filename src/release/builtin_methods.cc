@@ -36,38 +36,6 @@
 namespace privtree::release {
 namespace {
 
-/// State every adapter tracks across Fit (or restores from an envelope).
-struct FitState {
-  bool fitted = false;
-  std::size_t dim = 0;
-  double epsilon_spent = 0.0;
-};
-
-/// Shared bookkeeping for the built-in adapters: the canonical options text
-/// the method was created with (persisted in the envelope) and the fit
-/// state — restored verbatim when a synopsis is loaded from disk.
-class BuiltinMethod : public Method {
- protected:
-  explicit BuiltinMethod(const MethodOptions& o)
-      : options_text_(o.ToString()) {}
-  explicit BuiltinMethod(const SynopsisEnvelope& env)
-      : options_text_(env.options_text),
-        state_{true, env.metadata.dim, env.metadata.epsilon_spent} {}
-
-  /// Envelope + payload write shared by every Save override; callers have
-  /// checked state_.fitted.
-  Status SaveSynopsis(std::ostream& out, std::string_view payload) const {
-    return WriteSynopsis(out, Metadata(), options_text_, payload);
-  }
-
-  Status NotFitted() const {
-    return Status::InvalidArgument("Save requires a fitted method");
-  }
-
-  std::string options_text_;
-  FitState state_;
-};
-
 /// The `count_quantum` knob of the tree-family methods: released counts are
 /// snapped to multiples of the quantum as post-processing (DP-safe), which
 /// lets the v3 payload store them as group-varint integers instead of raw
@@ -245,8 +213,7 @@ class UniformGridMethod final : public GridMethodBase {
       : GridMethodBase(o), options_(ParseOptions(o)) {}
 
   UniformGridMethod(const SynopsisEnvelope& env, GridHistogram grid)
-      : GridMethodBase(env, std::move(grid)),
-        options_(ParseOptions(MethodOptions::Parse(env.options_text))) {}
+      : GridMethodBase(env, std::move(grid)) {}
 
   void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
            Rng& rng) override {
@@ -263,7 +230,6 @@ class UniformGridMethod final : public GridMethodBase {
 
  private:
   static UniformGridOptions ParseOptions(const MethodOptions& o) {
-    RequireKnownKeys(o, {"cell_scale", "c0"});
     UniformGridOptions out;
     out.cell_scale = o.GetDouble("cell_scale", out.cell_scale);
     out.c0 = o.GetDouble("c0", out.c0);
@@ -279,8 +245,7 @@ class DawaMethod final : public GridMethodBase {
       : GridMethodBase(o), options_(ParseOptions(o)) {}
 
   DawaMethod(const SynopsisEnvelope& env, GridHistogram grid)
-      : GridMethodBase(env, std::move(grid)),
-        options_(ParseOptions(MethodOptions::Parse(env.options_text))) {}
+      : GridMethodBase(env, std::move(grid)) {}
 
   void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
            Rng& rng) override {
@@ -297,8 +262,6 @@ class DawaMethod final : public GridMethodBase {
 
  private:
   static DawaOptions ParseOptions(const MethodOptions& o) {
-    RequireKnownKeys(o, {"target_total_cells", "partition_budget_fraction",
-                         "measure_branching"});
     DawaOptions out;
     out.target_total_cells =
         o.GetInt("target_total_cells", out.target_total_cells);
@@ -318,8 +281,7 @@ class WaveletMethod final : public GridMethodBase {
       : GridMethodBase(o), options_(ParseOptions(o)) {}
 
   WaveletMethod(const SynopsisEnvelope& env, GridHistogram grid)
-      : GridMethodBase(env, std::move(grid)),
-        options_(ParseOptions(MethodOptions::Parse(env.options_text))) {}
+      : GridMethodBase(env, std::move(grid)) {}
 
   void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
            Rng& rng) override {
@@ -336,7 +298,6 @@ class WaveletMethod final : public GridMethodBase {
 
  private:
   static PriveletOptions ParseOptions(const MethodOptions& o) {
-    RequireKnownKeys(o, {"target_total_cells"});
     PriveletOptions out;
     out.target_total_cells =
         o.GetInt("target_total_cells", out.target_total_cells);
@@ -352,10 +313,7 @@ class AdaptiveGridMethod final : public BuiltinMethod {
       : BuiltinMethod(o), options_(ParseOptions(o)) {}
 
   AdaptiveGridMethod(const SynopsisEnvelope& env, AdaptiveGrid grid)
-      : BuiltinMethod(env),
-        options_(ParseOptions(MethodOptions::Parse(env.options_text))) {
-    grid_.emplace(std::move(grid));
-  }
+      : BuiltinMethod(env), grid_(std::move(grid)) {}
 
   void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
            Rng& rng) override {
@@ -389,7 +347,6 @@ class AdaptiveGridMethod final : public BuiltinMethod {
 
  private:
   static AdaptiveGridOptions ParseOptions(const MethodOptions& o) {
-    RequireKnownKeys(o, {"alpha", "c1", "c2", "cell_scale"});
     AdaptiveGridOptions out;
     out.alpha = o.GetDouble("alpha", out.alpha);
     out.c1 = o.GetDouble("c1", out.c1);
@@ -416,7 +373,6 @@ class KdTreeMethod final : public SpatialTreeMethod {
 
  private:
   static KdTreeOptions ParseOptions(const MethodOptions& o) {
-    RequireKnownKeys(o, {"height", "split_budget_fraction", "count_quantum"});
     KdTreeOptions out;
     out.height = static_cast<std::int32_t>(o.GetInt("height", out.height));
     out.split_budget_fraction =
@@ -443,10 +399,7 @@ class HierarchyMethod final : public BuiltinMethod {
       : BuiltinMethod(o), options_(ParseOptions(o)) {}
 
   HierarchyMethod(const SynopsisEnvelope& env, HierarchyHistogram hier)
-      : BuiltinMethod(env),
-        options_(ParseOptions(MethodOptions::Parse(env.options_text))) {
-    hier_.emplace(std::move(hier));
-  }
+      : BuiltinMethod(env), hier_(std::move(hier)) {}
 
   void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
            Rng& rng) override {
@@ -488,8 +441,6 @@ class HierarchyMethod final : public BuiltinMethod {
 
  private:
   static HierarchyOptions ParseOptions(const MethodOptions& o) {
-    RequireKnownKeys(o, {"height", "target_leaf_resolution",
-                         "constrained_inference"});
     HierarchyOptions out;
     out.height = static_cast<std::int32_t>(o.GetInt("height", out.height));
     out.target_leaf_resolution =
@@ -597,12 +548,59 @@ Result<std::unique_ptr<Method>> LoadHierarchy(const SynopsisEnvelope& env,
                                        std::move(counts), consistent == 1)));
 }
 
+/// The dataset-relative screen of privtree: a split cannot span more
+/// dimensions than the data has.
+Status CheckDimsPerSplit(const MethodOptions& o, std::size_t dim) {
+  if (o.GetInt("dims_per_split", 0) <= static_cast<std::int64_t>(dim)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("dims_per_split exceeds the data's dim (" +
+                                 std::to_string(dim) + ")");
+}
+
+/// The most nodes a fixed-height method's complete tree may have: the
+/// bound that keeps one fit from exhausting the memory of a server.
+constexpr std::uint64_t kMaxCompleteTreeNodes = std::uint64_t{1} << 24;
+
+/// Refuses a fixed height whose complete tree, Σ_{k<levels} fanout^k
+/// nodes, passes kMaxCompleteTreeNodes: that tree bounds what one fit of a
+/// fixed-height method can allocate.
+Status CheckCompleteTree(std::string_view method, std::uint64_t fanout,
+                         std::int64_t levels) {
+  std::uint64_t nodes = 0;
+  std::uint64_t level = 1;
+  for (std::int64_t k = 0; k < levels && nodes <= kMaxCompleteTreeNodes;
+       ++k, level *= fanout) {
+    nodes += level;
+  }
+  if (nodes <= kMaxCompleteTreeNodes) return Status::OK();
+  return Status::InvalidArgument(
+      "method \"" + std::string(method) + "\": height allows a tree of more "
+      "than " + std::to_string(kMaxCompleteTreeNodes) + " nodes");
+}
+
+/// SimpleTree splits every node whose noisy count clears θ (empty ones
+/// about half the time), so it grows about ×β per level of `height`, with
+/// β = 2^dims_per_split (all of the data's dims by default).
+Status CheckSimpleTree(const MethodOptions& o, std::size_t dim) {
+  if (Status dims = CheckDimsPerSplit(o, dim); !dims.ok()) return dims;
+  const SimpleTreeHistogramOptions parsed = ParseSimpleTreeHistogramOptions(o);
+  const int split = parsed.dims_per_split > 0 ? parsed.dims_per_split
+                                              : static_cast<int>(dim);
+  return CheckCompleteTree("simpletree", std::uint64_t{1} << split,
+                           parsed.height);
+}
+
+/// kdtree always builds its complete binary tree over height + 1 levels.
+Status CheckKdTree(const MethodOptions& o, std::size_t /*dim*/) {
+  return CheckCompleteTree("kdtree", 2,
+                           o.GetInt("height", KdTreeOptions{}.height) + 1);
+}
+
 }  // namespace
 
 PrivTreeHistogramOptions ParsePrivTreeHistogramOptions(
     const MethodOptions& options) {
-  RequireKnownKeys(options, {"dims_per_split", "tree_budget_fraction",
-                             "max_depth", "count_quantum"});
   PrivTreeHistogramOptions out;
   out.dims_per_split =
       static_cast<int>(options.GetInt("dims_per_split", out.dims_per_split));
@@ -615,14 +613,17 @@ PrivTreeHistogramOptions ParsePrivTreeHistogramOptions(
 
 SimpleTreeHistogramOptions ParseSimpleTreeHistogramOptions(
     const MethodOptions& options) {
-  RequireKnownKeys(options,
-                   {"dims_per_split", "height", "theta", "count_quantum"});
   SimpleTreeHistogramOptions out;
   out.dims_per_split =
       static_cast<int>(options.GetInt("dims_per_split", out.dims_per_split));
   out.height = static_cast<std::int32_t>(options.GetInt("height", out.height));
   out.theta = options.GetDouble("theta", out.theta);
   return out;
+}
+
+Status BuiltinMethod::SaveSynopsis(std::ostream& out,
+                                   std::string_view payload) const {
+  return WriteSynopsis(out, Metadata(), options_text_, payload);
 }
 
 void RegisterBuiltinMethods(MethodRegistry& registry) {
@@ -638,13 +639,14 @@ void RegisterBuiltinMethods(MethodRegistry& registry) {
       {.description = "PrivTree decomposition + noisy leaf counts (Sec. 3.4)",
        .display = "PrivTree",
        // dims_per_split <= 0 means "use the default"; the upper bound is
-       // the Morton index's dimensionality cap (ValidateSpec additionally
-       // checks it against the served dataset's dim).
+       // the Morton index's dimensionality cap (`check` also holds it to
+       // the data's dim).
        .allowed_keys = {{"dims_per_split", kInt, 0, MortonIndex::kMaxDim},
                         {"tree_budget_fraction", kDouble, 0, 1, true},
                         {"max_depth", kInt, 1, 4096},
                         {"count_quantum", kDouble, 0, kInf}},
        .max_dim = MortonIndex::kMaxDim,
+       .check = CheckDimsPerSplit,
        .factory = FactoryFor<PrivTreeMethod>(),
        .loader = SpatialTreeLoaderFor<PrivTreeMethod>()});
   registry.Register(
@@ -656,6 +658,7 @@ void RegisterBuiltinMethods(MethodRegistry& registry) {
                         {"theta", kDouble},
                         {"count_quantum", kDouble, 0, kInf}},
        .max_dim = MortonIndex::kMaxDim,
+       .check = CheckSimpleTree,
        .factory = FactoryFor<SimpleTreeMethod>(),
        .loader = SpatialTreeLoaderFor<SimpleTreeMethod>()});
   registry.Register(
@@ -688,6 +691,7 @@ void RegisterBuiltinMethods(MethodRegistry& registry) {
        // served dataset can declare (server/protocol.cc), so LoadMethod
        // reads back every kdtree release the server can spill.
        .max_dim = 64,
+       .check = CheckKdTree,
        .factory = FactoryFor<KdTreeMethod>(),
        .loader = SpatialTreeLoaderFor<KdTreeMethod>()});
   registry.Register(

@@ -137,13 +137,6 @@ bool MethodOptions::GetBool(const std::string& key, bool fallback) const {
   return fallback;
 }
 
-std::vector<std::string> MethodOptions::Keys() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, value] : entries_) out.push_back(key);
-  return out;
-}
-
 std::string MethodOptions::ToString() const {
   std::string out;
   for (const auto& [key, value] : entries_) {
@@ -153,25 +146,6 @@ std::string MethodOptions::ToString() const {
     out += value;
   }
   return out;
-}
-
-void RequireKnownKeys(const MethodOptions& options,
-                      std::initializer_list<std::string_view> allowed) {
-  for (const std::string& key : options.Keys()) {
-    bool known = false;
-    for (const std::string_view candidate : allowed) {
-      known = known || key == candidate;
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown method option \"%s\"; allowed:", key.c_str());
-      for (const std::string_view candidate : allowed) {
-        std::fprintf(stderr, " %.*s", static_cast<int>(candidate.size()),
-                     candidate.data());
-      }
-      std::fprintf(stderr, "\n");
-      PRIVTREE_CHECK(false);
-    }
-  }
 }
 
 }  // namespace privtree::release

@@ -3,7 +3,10 @@
 // Every registered method accepts a MethodOptions bag; keys are parsed into
 // the method's native option struct by its factory.  A flat string map keeps
 // the registry, the CLI (`--options=k=v,...`) and config files decoupled
-// from the per-method option structs.
+// from the per-method option structs.  Which keys a method accepts, and in
+// what range, is stated once, by the OptionKeys of its registry entry
+// (release/registry.h): MethodRegistry::Create refuses an unknown key and
+// MethodRegistry::CheckFit screens every value.
 #ifndef PRIVTREE_RELEASE_OPTIONS_H_
 #define PRIVTREE_RELEASE_OPTIONS_H_
 
@@ -14,7 +17,6 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "dp/status.h"
 
@@ -81,8 +83,10 @@ class MethodOptions {
   std::int64_t GetInt(const std::string& key, std::int64_t fallback) const;
   bool GetBool(const std::string& key, bool fallback) const;
 
-  /// All keys, sorted.
-  std::vector<std::string> Keys() const;
+  /// Every key → value, sorted by key.
+  const std::map<std::string, std::string>& entries() const {
+    return entries_;
+  }
 
   /// Canonical "k1=v1,k2=v2" form (keys sorted).
   std::string ToString() const;
@@ -90,12 +94,6 @@ class MethodOptions {
  private:
   std::map<std::string, std::string> entries_;
 };
-
-/// Aborts with a diagnostic if `options` holds any key outside `allowed`.
-/// Method factories call this so that a mistyped option name fails loudly
-/// instead of silently running with defaults.
-void RequireKnownKeys(const MethodOptions& options,
-                      std::initializer_list<std::string_view> allowed);
 
 }  // namespace privtree::release
 

@@ -1,12 +1,24 @@
 #include "release/registry.h"
 
+#include <cmath>
 #include <cstdio>
+#include <string>
 #include <utility>
 
 #include "dp/check.h"
 #include "release/builtin_methods.h"
 
 namespace privtree::release {
+namespace {
+
+/// " k1 k2 ...": the keys an entry accepts, for a refusal's message.
+std::string AllowedKeyList(const MethodRegistry::Entry& entry) {
+  std::string out;
+  for (const OptionKey& key : entry.allowed_keys) out += " " + key.name;
+  return out;
+}
+
+}  // namespace
 
 void MethodRegistry::Register(std::string name, Entry entry) {
   PRIVTREE_CHECK(!name.empty());
@@ -18,6 +30,13 @@ void MethodRegistry::Register(std::string name, Entry entry) {
                  it->first.c_str());
     PRIVTREE_CHECK(false);
   }
+}
+
+const OptionKey* MethodRegistry::Entry::FindKey(std::string_view name) const {
+  for (const OptionKey& key : allowed_keys) {
+    if (key.name == name) return &key;
+  }
+  return nullptr;
 }
 
 bool MethodRegistry::Contains(std::string_view name) const {
@@ -42,15 +61,6 @@ const std::string& MethodRegistry::Description(std::string_view name) const {
   return Get(name).description;
 }
 
-const std::vector<OptionKey>& MethodRegistry::AllowedKeys(
-    std::string_view name) const {
-  return Get(name).allowed_keys;
-}
-
-std::size_t MethodRegistry::RequiredDim(std::string_view name) const {
-  return Get(name).required_dim;
-}
-
 DatasetKind MethodRegistry::Kind(std::string_view name) const {
   return Get(name).kind;
 }
@@ -71,7 +81,62 @@ std::unique_ptr<Method> MethodRegistry::Create(
                  static_cast<int>(name.size()), name.data());
     PRIVTREE_CHECK(false);
   }
-  return it->second.factory(options);
+  const Entry& entry = it->second;
+  for (const auto& [key, value] : options.entries()) {
+    if (entry.FindKey(key) != nullptr) continue;
+    // A mistyped option name must fail loudly, not run with defaults.
+    std::fprintf(stderr, "unknown method option \"%s\"; allowed:%s\n",
+                 key.c_str(), AllowedKeyList(entry).c_str());
+    PRIVTREE_CHECK(false);
+  }
+  return entry.factory(options);
+}
+
+Status MethodRegistry::CheckFit(std::string_view method,
+                                const MethodOptions& options, double epsilon,
+                                DatasetKind kind, std::size_t dim) const {
+  const auto it = methods_.find(method);
+  if (it == methods_.end()) {
+    return Status::InvalidArgument("unknown method \"" + std::string(method) +
+                                   "\"");
+  }
+  const Entry& entry = it->second;
+  // Spelled out only for a refusal: the pass path allocates nothing.
+  const auto name = [&] { return "method \"" + it->first + "\""; };
+  if (entry.kind != kind) {
+    return Status::InvalidArgument(
+        name() + " fits " + std::string(DatasetKindName(entry.kind)) +
+        " datasets, not " + std::string(DatasetKindName(kind)) + " data");
+  }
+  if (kind == DatasetKind::kSpatial && entry.required_dim != 0 &&
+      entry.required_dim != dim) {
+    return Status::InvalidArgument(
+        name() + " requires " + std::to_string(entry.required_dim) +
+        "-dimensional data (got dim=" + std::to_string(dim) + ")");
+  }
+  if (kind == DatasetKind::kSpatial && entry.max_dim != 0 &&
+      dim > entry.max_dim) {
+    return Status::InvalidArgument(
+        name() + " supports at most " + std::to_string(entry.max_dim) +
+        "-dimensional data (got dim=" + std::to_string(dim) + ")");
+  }
+  // Both the noise scale and the split threshold are set by ε: an infinite
+  // or NaN ε is no privacy budget at all.
+  if (!(std::isfinite(epsilon) && epsilon > 0.0)) {
+    return Status::InvalidArgument("epsilon must be finite and positive");
+  }
+  for (const auto& [key, value] : options.entries()) {
+    const OptionKey* advertised = entry.FindKey(key);
+    if (advertised == nullptr) {
+      return Status::InvalidArgument(name() + " has no option \"" + key +
+                                     "\"; allowed:" + AllowedKeyList(entry));
+    }
+    if (Status screened = CheckOptionValue(*advertised, value);
+        !screened.ok()) {
+      return screened;
+    }
+  }
+  return entry.check ? entry.check(options, dim) : Status::OK();
 }
 
 MethodRegistry& GlobalMethodRegistry() {

@@ -24,10 +24,19 @@
 
 namespace privtree::release {
 
-/// Builds a Method from an options bag.  Factories parse (and validate)
-/// their options eagerly, so a typo fails at Create rather than at Fit.
+/// Builds a Method from an options bag.  MethodRegistry::Create has
+/// checked every key against the entry's `allowed_keys` first; values are
+/// not screened there (CheckFit does that for user-facing surfaces), so a
+/// factory only parses.
 using MethodFactory =
     std::function<std::unique_ptr<Method>(const MethodOptions&)>;
+
+/// The dataset-relative part of a method's screen (see
+/// MethodRegistry::CheckFit): OK, or InvalidArgument when `options`, whose
+/// values already passed their OptionKey screens, cannot be fitted on
+/// `dim`-dimensional data.
+using FitCheck =
+    std::function<Status(const MethodOptions& options, std::size_t dim)>;
 
 /// Reconstructs a fitted Method from a deserialized envelope and its
 /// payload bytes (see release/serialization.h).  The envelope's options
@@ -41,12 +50,16 @@ using MethodLoader = std::function<Result<std::unique_ptr<Method>>(
 /// A string-keyed collection of method factories.
 class MethodRegistry {
  public:
-  /// One registered backend.  `allowed_keys` lists every option key the
-  /// factory accepts (with its value type) and `required_dim` / `max_dim`
-  /// the hard dimensionality constraints (0 = any), so user-facing surfaces
-  /// can reject a typo or an unsupported input gracefully before the
-  /// aborting contract checks run.
+  /// One registered backend, and the only statement of what it accepts:
+  /// `allowed_keys` lists every option key (with its value type and range),
+  /// `kind`, `required_dim` / `max_dim` the input it fits, and `check` the
+  /// rest, which depends on the data.  CheckFit screens a spec against all
+  /// of them, so user-facing surfaces refuse a typo or an unsupported input
+  /// with a Status before the aborting contract checks run.
   struct Entry {
+    /// The advertised key named `name`, or null.
+    const OptionKey* FindKey(std::string_view name) const;
+
     std::string description;  ///< One-line summary for `--list` surfaces.
     std::string display;      ///< Column label for tables ("PrivTree").
     std::vector<OptionKey> allowed_keys;  ///< Valid option keys + types.
@@ -61,6 +74,8 @@ class MethodRegistry {
     /// fast beyond it — e.g. complete hierarchies); 0 = no limit.
     /// Advisory metadata for evaluation lineups, not enforced at Fit.
     std::size_t max_practical_dim = 0;
+    /// Dataset-relative screen run after the key screens; null = none.
+    FitCheck check = nullptr;
     MethodFactory factory;
     /// Payload codec for LoadMethod; null means the backend's synopses
     /// cannot be re-loaded (every built-in registers one).
@@ -81,23 +96,32 @@ class MethodRegistry {
   /// Description of a registered method; aborts on unknown names.
   const std::string& Description(std::string_view name) const;
 
-  /// Option keys the named method accepts; aborts on unknown names.
-  const std::vector<OptionKey>& AllowedKeys(std::string_view name) const;
-
-  /// The exact input dimensionality the named method requires, or 0 when
-  /// any dimension is supported; aborts on unknown names.
-  std::size_t RequiredDim(std::string_view name) const;
-
   /// The dataset kind the named method fits; aborts on unknown names.
   DatasetKind Kind(std::string_view name) const;
 
   /// Registered names of one dataset kind, sorted.
   std::vector<std::string> Names(DatasetKind kind) const;
 
-  /// Instantiates (but does not fit) the named method.  Unknown names
-  /// abort; call Contains first when the name comes from user input.
+  /// Instantiates (but does not fit) the named method.  An unknown name or
+  /// an option key outside the entry's `allowed_keys` aborts; values are
+  /// not range-checked, so callers in process may set any value the
+  /// method's contract allows.  Screen user input with CheckFit first.
   std::unique_ptr<Method> Create(std::string_view name,
                                  const MethodOptions& options = {}) const;
+
+  /// The one screen of a fit spec from user input (the server, the CLI):
+  /// OK when `method` can fit `kind` data of dimension `dim` (the alphabet
+  /// size for sequence data) with `options` at `epsilon`, else
+  /// InvalidArgument naming the reason.  It refuses an unregistered method,
+  /// a kind or (spatial) dim the entry does not fit, an ε that is not
+  /// finite and positive, an unknown key, a value outside its OptionKey
+  /// type and range, and whatever the entry's `check` refuses for this dim
+  /// (a split over more dims than the data has; a fixed-height tree whose
+  /// complete tree passes 2^24 nodes).  A spec it passes never trips a
+  /// fitter's aborting contract check.  Looks the entry up once; allocates
+  /// only to describe a refusal.
+  Status CheckFit(std::string_view method, const MethodOptions& options,
+                  double epsilon, DatasetKind kind, std::size_t dim) const;
 
  private:
   std::map<std::string, Entry, std::less<>> methods_;

@@ -15,6 +15,7 @@
 #include "core/codec.h"
 #include "core/tree.h"
 #include "dp/check.h"
+#include "release/builtin_methods.h"
 #include "release/options.h"
 #include "release/serialization.h"
 #include "release/sequence_query.h"
@@ -30,14 +31,6 @@ namespace {
 /// Largest alphabet a persisted sequence synopsis may declare (the one
 /// pipeline-wide bound; see seq/sequence.h).
 constexpr std::size_t kMaxAlphabet = kMaxAlphabetSize;
-
-/// State every sequence adapter tracks across Fit (or restores from an
-/// envelope) — the sequence twin of builtin_methods.cc's FitState.
-struct FitState {
-  bool fitted = false;
-  std::size_t alphabet = 0;  ///< Reported as MethodMetadata::dim.
-  double epsilon_spent = 0.0;
-};
 
 /// One double per SequenceQuery, against any fitted SequenceModel.  The
 /// specs have been screened by ValidateSequenceQuery upstream (serving
@@ -90,38 +83,14 @@ std::int32_t PstHeight(const PstModel& model) {
   return static_cast<std::int32_t>(height);
 }
 
-/// Shared bookkeeping of the two sequence adapters.
-class SequenceMethodBase : public Method {
- protected:
-  explicit SequenceMethodBase(const MethodOptions& o)
-      : options_text_(o.ToString()) {}
-  explicit SequenceMethodBase(const SynopsisEnvelope& env)
-      : options_text_(env.options_text),
-        state_{true, env.metadata.dim, env.metadata.epsilon_spent} {}
-
-  Status SaveSynopsis(std::ostream& out, std::string_view payload) const {
-    return WriteSynopsis(out, Metadata(), options_text_, payload);
-  }
-
-  Status NotFitted() const {
-    return Status::InvalidArgument("Save requires a fitted method");
-  }
-
-  std::string options_text_;
-  FitState state_;
-};
-
 /// PrivTree over sequence data (Section 4.2): private PST construction.
-class PstPrivTreeMethod final : public SequenceMethodBase {
+class PstPrivTreeMethod final : public BuiltinMethod {
  public:
   explicit PstPrivTreeMethod(const MethodOptions& o)
-      : SequenceMethodBase(o), options_(ParseOptions(o)) {}
+      : BuiltinMethod(o), options_(ParseOptions(o)) {}
 
   PstPrivTreeMethod(const SynopsisEnvelope& env, PstModel model)
-      : SequenceMethodBase(env),
-        options_(ParseOptions(MethodOptions::Parse(env.options_text))) {
-    model_.emplace(std::move(model));
-  }
+      : BuiltinMethod(env), model_(std::move(model)) {}
 
   void Fit(const Dataset& data, PrivacyBudget& budget, Rng& rng) override {
     PRIVTREE_CHECK(!state_.fitted);
@@ -145,7 +114,7 @@ class PstPrivTreeMethod final : public SequenceMethodBase {
   }
 
   MethodMetadata Metadata() const override {
-    return {"pst_privtree", state_.alphabet, state_.epsilon_spent,
+    return {"pst_privtree", state_.dim, state_.epsilon_spent,
             model_ ? model_->size() : 0, model_ ? PstHeight(*model_) : 0};
   }
 
@@ -178,7 +147,6 @@ class PstPrivTreeMethod final : public SequenceMethodBase {
 
  private:
   static PrivatePstOptions ParseOptions(const MethodOptions& o) {
-    RequireKnownKeys(o, {"l_top", "tree_budget_fraction", "max_depth"});
     PrivatePstOptions out;
     out.l_top = static_cast<std::size_t>(
         o.GetInt("l_top", static_cast<std::int64_t>(out.l_top)));
@@ -194,16 +162,13 @@ class PstPrivTreeMethod final : public SequenceMethodBase {
 };
 
 /// The variable-length n-gram baseline (Section 6.2).
-class NgramMethod final : public SequenceMethodBase {
+class NgramMethod final : public BuiltinMethod {
  public:
   explicit NgramMethod(const MethodOptions& o)
-      : SequenceMethodBase(o), options_(ParseOptions(o)) {}
+      : BuiltinMethod(o), options_(ParseOptions(o)) {}
 
   NgramMethod(const SynopsisEnvelope& env, NgramModel model)
-      : SequenceMethodBase(env),
-        options_(ParseOptions(MethodOptions::Parse(env.options_text))) {
-    model_.emplace(std::move(model));
-  }
+      : BuiltinMethod(env), model_(std::move(model)) {}
 
   void Fit(const Dataset& data, PrivacyBudget& budget, Rng& rng) override {
     PRIVTREE_CHECK(!state_.fitted);
@@ -222,7 +187,7 @@ class NgramMethod final : public SequenceMethodBase {
   }
 
   MethodMetadata Metadata() const override {
-    return {"ngram", state_.alphabet, state_.epsilon_spent,
+    return {"ngram", state_.dim, state_.epsilon_spent,
             model_ ? model_->ReleasedGramCount() : 0,
             model_ ? model_->Height() : 0};
   }
@@ -247,7 +212,6 @@ class NgramMethod final : public SequenceMethodBase {
 
  private:
   static NgramOptions ParseOptions(const MethodOptions& o) {
-    RequireKnownKeys(o, {"n_max", "l_top", "threshold_factor"});
     NgramOptions out;
     out.n_max = static_cast<std::size_t>(
         o.GetInt("n_max", static_cast<std::int64_t>(out.n_max)));

@@ -4,12 +4,8 @@
 // `release::Method`s.  Like the spatial adapters in builtin_methods.cc,
 // these only parse options, truncate at the public length cap l⊤, thread
 // the PrivacyBudget and forward queries — seq/pst_privtree.h and
-// seq/ngram.h remain the concrete implementations.
-//
-// Registered names and their option keys:
-//
-//   pst_privtree  l_top, tree_budget_fraction, max_depth
-//   ngram         n_max, l_top, threshold_factor
+// seq/ngram.h remain the concrete implementations.  Each one's registry
+// entry lists the option keys it accepts.
 //
 // Both answer SequenceQuery batches (frequency / prefix-count / top-k; see
 // release/sequence_query.h) and persist through the universal synopsis

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <fstream>
@@ -66,24 +65,24 @@ Status CheckBodySize(std::uint64_t declared, std::uint64_t actual) {
                                      : "synopsis: trailing bytes after body");
 }
 
-Status ValidateOptionsText(const MethodRegistry& registry,
+/// An envelope's options text must parse and name only `entry`'s keys, with
+/// values of their types.  Ranges are not checked: every saved envelope
+/// loads, whatever values its method was created with.
+Status ValidateOptionsText(const MethodRegistry::Entry& entry,
                            const std::string& method,
-                           const std::string& options_text,
-                           MethodOptions* out) {
+                           const std::string& options_text) {
+  MethodOptions options;
   std::string error;
-  if (!MethodOptions::TryParse(options_text, out, &error)) {
+  if (!MethodOptions::TryParse(options_text, &options, &error)) {
     return Status::InvalidArgument("synopsis options: " + error);
   }
-  const auto& allowed = registry.AllowedKeys(method);
-  for (const std::string& key : out->Keys()) {
-    const auto it = std::find_if(
-        allowed.begin(), allowed.end(),
-        [&](const OptionKey& k) { return k.name == key; });
-    if (it == allowed.end()) {
+  for (const auto& [key, value] : options.entries()) {
+    const OptionKey* advertised = entry.FindKey(key);
+    if (advertised == nullptr) {
       return Status::InvalidArgument("synopsis options: method \"" + method +
                                      "\" has no option \"" + key + "\"");
     }
-    if (!ValueParsesAs(it->type, out->GetString(key, ""))) {
+    if (!ValueParsesAs(advertised->type, value)) {
       return Status::InvalidArgument("synopsis options: bad value for \"" +
                                      key + "\"");
     }
@@ -224,9 +223,7 @@ Result<std::unique_ptr<Method>> LoadMethod(std::istream& in,
         std::to_string(entry.required_dim) + ", file has " +
         std::to_string(dim));
   }
-  MethodOptions options;
-  if (Status s = ValidateOptionsText(registry, name, envelope.options_text,
-                                     &options);
+  if (Status s = ValidateOptionsText(entry, name, envelope.options_text);
       !s.ok()) {
     return s;
   }

@@ -41,18 +41,17 @@ std::uint64_t DatasetFingerprint(const SequenceDataset& sequences) {
 
 std::string CanonicalOptionsText(std::string_view method,
                                  const release::MethodOptions& options) {
-  const auto& allowed = release::GlobalMethodRegistry().AllowedKeys(method);
+  const release::MethodRegistry::Entry& entry =
+      release::GlobalMethodRegistry().Get(method);
   std::string out;
-  for (const std::string& key : options.Keys()) {  // Keys() is sorted.
-    const auto it = std::find_if(
-        allowed.begin(), allowed.end(),
-        [&](const release::OptionKey& k) { return k.name == key; });
+  for (const auto& [key, text] : options.entries()) {  // Sorted by key.
+    const release::OptionKey* advertised = entry.FindKey(key);
     std::string value;
-    if (it == allowed.end()) {
-      value = options.GetString(key, "");
+    if (advertised == nullptr) {
+      value = text;
     } else {
       char buffer[64];
-      switch (it->type) {
+      switch (advertised->type) {
         case release::OptionType::kDouble:
           std::snprintf(buffer, sizeof(buffer), "%.17g",
                         options.GetDouble(key, 0.0));

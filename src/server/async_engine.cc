@@ -13,31 +13,12 @@
 #include "core/fault.h"
 #include "dp/check.h"
 #include "dp/rng.h"
-#include "hist/kdtree.h"
 #include "obs/metrics.h"
-#include "release/options.h"
 #include "release/registry.h"
-#include "spatial/spatial_histogram.h"
 
 namespace privtree::server {
 
 namespace {
-
-// The largest complete tree a served fit of a fixed-height tree method may
-// ask for (2^24 nodes).
-constexpr std::uint64_t kMaxCompleteTreeNodes = std::uint64_t{1} << 24;
-
-/// Nodes of the complete tree with `levels` levels and fanout `fanout`,
-/// Σ_{k<levels} fanout^k; stops counting once past kMaxCompleteTreeNodes.
-std::uint64_t CompleteTreeNodes(std::uint64_t fanout, std::int64_t levels) {
-  std::uint64_t nodes = 0;
-  std::uint64_t level = 1;
-  for (std::int64_t k = 0; k < levels && nodes <= kMaxCompleteTreeNodes;
-       ++k, level *= fanout) {
-    nodes += level;
-  }
-  return nodes;
-}
 
 /// An upper bound on the work one box query costs against a release with
 /// `meta`, in coordinate reads.  A flat grid (height 0) answers from its
@@ -183,10 +164,10 @@ std::uint64_t AsyncEngine::BeginWatch(DeadlineClock::time_point deadline,
   return id;
 }
 
-void AsyncEngine::EndWatch(std::uint64_t id) {
-  if (id == 0) return;
+bool AsyncEngine::EndWatch(std::uint64_t id) {
+  if (id == 0) return true;
   MutexLock lk(watch_mu_);
-  watched_.erase(id);
+  return watched_.erase(id) == 1;
 }
 
 void AsyncEngine::RunWatchdog(std::uint64_t poll_millis) {
@@ -227,84 +208,6 @@ serve::SynopsisKey AsyncEngine::KeyFor(const FitSpec& spec) const {
           spec.epsilon, JobFor(spec).rng.Fingerprint()};
 }
 
-Status AsyncEngine::ValidateSpec(const FitSpec& spec) const {
-  const auto& registry = release::GlobalMethodRegistry();
-  if (!registry.Contains(spec.method)) {
-    return Status::InvalidArgument("unknown method \"" + spec.method + "\"");
-  }
-  if (registry.Kind(spec.method) != data_.kind()) {
-    return Status::InvalidArgument(
-        "method \"" + spec.method + "\" fits " +
-        std::string(release::DatasetKindName(registry.Kind(spec.method))) +
-        " datasets; this server serves " +
-        std::string(release::DatasetKindName(data_.kind())) + " data");
-  }
-  const std::size_t required = registry.RequiredDim(spec.method);
-  if (data_.is_spatial() && required != 0 && required != data_.dim()) {
-    return Status::InvalidArgument(
-        "method \"" + spec.method + "\" requires " +
-        std::to_string(required) + "-dimensional data (serving dim=" +
-        std::to_string(data_.dim()) + ")");
-  }
-  const std::size_t max_dim = registry.Get(spec.method).max_dim;
-  if (data_.is_spatial() && max_dim != 0 && data_.dim() > max_dim) {
-    return Status::InvalidArgument(
-        "method \"" + spec.method + "\" supports at most " +
-        std::to_string(max_dim) + "-dimensional data (serving dim=" +
-        std::to_string(data_.dim()) + ")");
-  }
-  if (!(spec.epsilon > 0.0)) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  const auto& allowed = registry.AllowedKeys(spec.method);
-  for (const std::string& key : spec.options.Keys()) {
-    const auto it = std::find_if(
-        allowed.begin(), allowed.end(),
-        [&](const release::OptionKey& k) { return k.name == key; });
-    if (it == allowed.end()) {
-      return Status::InvalidArgument("method \"" + spec.method +
-                                     "\" has no option \"" + key + "\"");
-    }
-    // Type + declared range: a wire-supplied value must fail here, with a
-    // Status, never inside the fitter's aborting contract checks.
-    if (Status value = release::CheckOptionValue(
-            *it, spec.options.GetString(key, ""));
-        !value.ok()) {
-      return value;
-    }
-  }
-  // The one dataset-relative range: a tree split cannot span more
-  // dimensions than the served data has.
-  if (data_.is_spatial() && spec.options.Has("dims_per_split") &&
-      spec.options.GetInt("dims_per_split", 0) >
-          static_cast<std::int64_t>(data_.dim())) {
-    return Status::InvalidArgument(
-        "dims_per_split exceeds the serving dim (" +
-        std::to_string(data_.dim()) + ")");
-  }
-  // The fixed-height trees: their complete tree bounds what one fit can
-  // allocate.  SimpleTree splits every node whose noisy count clears θ
-  // (empty ones about half the time), so it grows about ×β per level of
-  // `height`; kdtree always builds its complete tree.
-  std::uint64_t complete = 0;
-  if (spec.method == "simpletree") {
-    const std::int64_t dims = spec.options.GetInt("dims_per_split", 0);
-    complete = CompleteTreeNodes(
-        std::uint64_t{1} << (dims > 0 ? dims
-                                      : static_cast<std::int64_t>(data_.dim())),
-        spec.options.GetInt("height", SimpleTreeHistogramOptions{}.height));
-  } else if (spec.method == "kdtree") {
-    complete = CompleteTreeNodes(
-        2, spec.options.GetInt("height", KdTreeOptions{}.height) + 1);
-  }
-  if (complete > kMaxCompleteTreeNodes) {
-    return Status::InvalidArgument(
-        "method \"" + spec.method + "\": height allows a tree of more than " +
-        std::to_string(kMaxCompleteTreeNodes) + " nodes");
-  }
-  return Status::OK();
-}
-
 Status AsyncEngine::Enqueue(QueuedRequest& request, bool needs_fit,
                             const obs::TracePtr& trace) {
   const auto start = std::chrono::steady_clock::now();
@@ -342,9 +245,13 @@ void AsyncEngine::RunOne() {
 }
 
 Result<PreparedSpec> AsyncEngine::Prepare(FitSpec spec) const {
-  // Validation precedes the key: canonicalizing the options of an
+  // The screen precedes the key: canonicalizing the options of an
   // unregistered method is a contract violation.
-  if (Status valid = ValidateSpec(spec); !valid.ok()) return valid;
+  if (Status valid = release::GlobalMethodRegistry().CheckFit(
+          spec.method, spec.options, spec.epsilon, data_.kind(), data_.dim());
+      !valid.ok()) {
+    return valid;
+  }
   serve::SynopsisKey key = KeyFor(spec);
   return PreparedSpec{std::move(spec), std::move(key)};
 }
@@ -431,7 +338,7 @@ Future<AsyncEngine::ResponseTo<Query>> AsyncEngine::Start(
 template <typename Query>
 Status AsyncEngine::Screen(const std::vector<Query>& queries) const {
   if constexpr (std::is_same_v<Query, Box>) {
-    // ValidateSpec already rejects spatial methods on a sequence engine,
+    // Prepare already rejects spatial methods on a sequence engine,
     // but box queries carry their own shape; keep the message direct.
     if (!data_.is_spatial()) {
       return Status::InvalidArgument(
@@ -564,13 +471,17 @@ AsyncEngine::ResponseTo<Query> AsyncEngine::RunJob(
                                JobFor(job.prepared.spec), &cache_);
   const std::uint64_t fit_us = MicrosSince(fit_start);
   FitHistogram().Observe(fit_us);
+  if (job.needs_fit) admission_.EndFit(job.prepared.key);
+  // The watchdog guards the fit.  Once it has answered the request, the
+  // event loop may be finishing the trace, and nobody receives this answer:
+  // touch neither the trace nor the kernel.
+  if (!EndWatch(watch)) {
+    return {Status::DeadlineExceeded("answered by the watchdog"), {}, false};
+  }
   if (job.trace) {
     job.trace->Record(obs::Span::kFit, fit_us);
     job.trace->cache_hit = fitted.cache_hit;
   }
-  if (job.needs_fit) admission_.EndFit(job.prepared.key);
-  // The watchdog guards the fit; once fitted, the request is answered.
-  EndWatch(watch);
   if constexpr (std::is_same_v<Query, NoQuery>) {
     return {Status::OK(), fitted.method->Metadata(), fitted.cache_hit};
   } else {

@@ -70,8 +70,9 @@ struct EngineOptions {
   std::uint64_t watchdog_poll_millis = 50;
 };
 
-/// A spec that passed AsyncEngine::ValidateSpec, with the cache key it
-/// maps to: what a session is charged on and what Submit runs.
+/// A spec that passed the registry's screen (MethodRegistry::CheckFit) for
+/// the served dataset, with the cache key it maps to: what a session is
+/// charged on and what Submit runs.
 struct PreparedSpec {
   FitSpec spec;
   serve::SynopsisKey key;
@@ -107,9 +108,12 @@ class AsyncEngine {
   AsyncEngine(const AsyncEngine&) = delete;
   AsyncEngine& operator=(const AsyncEngine&) = delete;
 
-  /// Validates `spec` (ValidateSpec) and keys it (KeyFor): the one check
-  /// and the one key a request gets.  The dispatcher charges the session
-  /// on the key, then hands the prepared spec to Submit.
+  /// Screens `spec` against the served dataset and keys it (KeyFor): the
+  /// one check and the one key a request gets.  The screen is
+  /// release::MethodRegistry::CheckFit, the one the CLI runs too, so a
+  /// hostile socket client never reaches a fitter's aborting contract
+  /// check or exhausts the server's memory.  The dispatcher charges the
+  /// session on the key, then hands the prepared spec to Submit.
   Result<PreparedSpec> Prepare(FitSpec spec) const;
 
   /// Runs one prepared request.  A Fit fits (or re-serves from cache) the
@@ -158,16 +162,6 @@ class AsyncEngine {
   /// (invalid, shed, and already-cached specs are skipped).
   /// Fire-and-forget; redeem progress via Stats().
   std::size_t Warm(std::span<const FitSpec> specs);
-
-  /// Non-OK when the spec cannot be served: unregistered method, a method
-  /// kind that does not match the served dataset, wrong dimensionality,
-  /// non-positive ε, unknown option key or out-of-range value (the
-  /// registry's OptionKey ranges cover the sequence keys too, so a hostile
-  /// socket client never reaches a fitter's aborting contract check), or a
-  /// `simpletree`/`kdtree` height whose complete tree exceeds 2^24 nodes
-  /// (Σ_{k<h} β^k with β = 2^dims_per_split; kdtree: β = 2 over h+1
-  /// levels), so one request cannot exhaust the server's memory.
-  Status ValidateSpec(const FitSpec& spec) const;
 
   StatsSnapshot Stats() const;
 
@@ -230,12 +224,13 @@ class AsyncEngine {
                              const release::Method& resident);
 
   /// The one execution body, for the pool task and the inline branch
-  /// alike (each records its queue wait first): records the fit span, then
-  /// answers a Fit with the release's metadata or a batch's queries
-  /// (kernel span) against `resident` when non-null, else against the
-  /// release FitSynopsis fits or re-serves.  Ends watch `watch` (0: none)
-  /// once the release is fitted, so the watchdog guards the fit, not the
-  /// kernel.
+  /// alike (each records its queue wait first): takes the release from
+  /// `resident` when non-null, else from FitSynopsis (a fit or a cache
+  /// hit), then records the fit span and answers a Fit with the release's
+  /// metadata or a batch's queries (kernel span).  Ends watch `watch` (0:
+  /// none) once the release is fitted, so the watchdog guards the fit, not
+  /// the kernel; when the watchdog has already answered, it returns
+  /// without touching the trace or running the kernel.
   template <typename Query>
   ResponseTo<Query> RunJob(const Job<Query>& job,
                            std::shared_ptr<const release::Method> resident,
@@ -248,7 +243,10 @@ class AsyncEngine {
   /// watch) when the watchdog is disabled or the deadline is kNoDeadline.
   std::uint64_t BeginWatch(DeadlineClock::time_point deadline,
                            std::function<void()> fail) EXCLUDES(watch_mu_);
-  void EndWatch(std::uint64_t id) EXCLUDES(watch_mu_);
+  /// Ends watch `id`: true when the request is still the executor's to
+  /// answer (no watch, or the watchdog has not fired), false when the
+  /// watchdog already failed it.
+  bool EndWatch(std::uint64_t id) EXCLUDES(watch_mu_);
   void RunWatchdog(std::uint64_t poll_millis) EXCLUDES(watch_mu_);
 
   /// Admission + enqueue for one queued request; on success schedules a

@@ -39,10 +39,14 @@ void PutSpec(ByteWriter& w, const FitSpec& spec) {
   w.U64(spec.seed);
 }
 
+/// Consumes one FitSpec.  A non-finite ε is malformed, as a non-finite
+/// coordinate is: it is refused here, so a frame of specs (Warm) that
+/// carries one is refused whole rather than skipped over.
 bool TakeSpec(ByteReader& r, FitSpec* spec) {
   std::string options_text;
   if (!r.Str(&spec->method) || !r.Str(&options_text) ||
-      !r.F64(&spec->epsilon) || !r.U64(&spec->seed)) {
+      !r.F64(&spec->epsilon) || !std::isfinite(spec->epsilon) ||
+      !r.U64(&spec->seed)) {
     return false;
   }
   std::string error;

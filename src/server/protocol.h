@@ -35,7 +35,7 @@
 //                                u32 length, length × u32 symbols
 //
 //   FitSpec :=  str method, str options ("k1=v1,k2=v2"), f64 epsilon,
-//               u64 seed
+//               u64 seed              (a non-finite epsilon is malformed)
 //
 // Bodies (replies):
 //   HelloReply       u32 version, u32 dataset kind (DatasetKind: 0 spatial,

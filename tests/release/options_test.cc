@@ -6,7 +6,6 @@ namespace privtree {
 namespace {
 
 using release::MethodOptions;
-using release::RequireKnownKeys;
 
 TEST(MethodOptionsTest, ParseRoundTrips) {
   const MethodOptions options =
@@ -55,7 +54,7 @@ TEST(MethodOptionsTest, LastSetWins) {
   options.Set("k", "1");
   options.Set("k", "2");
   EXPECT_EQ(options.GetInt("k", 0), 2);
-  EXPECT_EQ(options.Keys().size(), 1u);
+  EXPECT_EQ(options.entries().size(), 1u);
 }
 
 TEST(MethodOptionsTest, ValueParsesAsChecksPerType) {
@@ -110,11 +109,6 @@ TEST(MethodOptionsTest, CheckOptionValueEnforcesDeclaredRanges) {
   EXPECT_FALSE(CheckOptionValue(flag, "2").ok());
 }
 
-TEST(MethodOptionsTest, KnownKeysPass) {
-  const MethodOptions options = MethodOptions::Parse("cell_scale=2");
-  RequireKnownKeys(options, {"cell_scale", "c0"});  // Must not abort.
-}
-
 TEST(MethodOptionsDeathTest, MalformedEntryAborts) {
   EXPECT_DEATH(MethodOptions::Parse("novalue"), "malformed");
   EXPECT_DEATH(MethodOptions::Parse("=5"), "malformed");
@@ -125,12 +119,6 @@ TEST(MethodOptionsDeathTest, NonNumericValueAborts) {
   EXPECT_DEATH(options.GetDouble("k", 0.0), "PRIVTREE_CHECK");
   EXPECT_DEATH(options.GetInt("k", 0), "PRIVTREE_CHECK");
   EXPECT_DEATH(options.GetBool("k", false), "non-boolean");
-}
-
-TEST(MethodOptionsDeathTest, UnknownKeyAborts) {
-  const MethodOptions options = MethodOptions::Parse("cel_scale=2");
-  EXPECT_DEATH(RequireKnownKeys(options, {"cell_scale", "c0"}),
-               "unknown method option");
 }
 
 }  // namespace

@@ -59,17 +59,17 @@ TEST(RegistryTest, DescriptionsAreNonEmpty) {
   }
 }
 
-// The advertised option keys must be exactly what each factory accepts:
-// constructing with all allowed keys set must succeed (a factory rejecting
-// an advertised key, or advertising a key it rejects, breaks user-facing
-// validation).
+// The entry's `allowed_keys` are the one list of what a method accepts:
+// Create with every advertised key set must succeed (Create checks keys
+// against that list, and the factory must parse each of them), and an
+// unadvertised key aborts (RegistryDeathTest.UnknownOptionKeyAborts).
 TEST(RegistryTest, AllowedKeysAreAccepted) {
   auto& registry = release::GlobalMethodRegistry();
   for (const std::string& name : registry.Names()) {
     SCOPED_TRACE(name);
-    EXPECT_FALSE(registry.AllowedKeys(name).empty());
+    EXPECT_FALSE(registry.Get(name).allowed_keys.empty());
     release::MethodOptions options;
-    for (const release::OptionKey& key : registry.AllowedKeys(name)) {
+    for (const release::OptionKey& key : registry.Get(name).allowed_keys) {
       options.Set(key.name, "1");  // Valid for int, double, and bool keys.
     }
     EXPECT_NE(registry.Create(name, options), nullptr);
@@ -161,9 +161,9 @@ TEST(RegistryTest, QueryBatchMatchesQuery) {
 
 TEST(RegistryTest, RequiredDimMarksAgAsTwoDimensional) {
   auto& registry = release::GlobalMethodRegistry();
-  EXPECT_EQ(registry.RequiredDim("ag"), 2u);
-  EXPECT_EQ(registry.RequiredDim("privtree"), 0u);
-  EXPECT_EQ(registry.RequiredDim("ug"), 0u);
+  EXPECT_EQ(registry.Get("ag").required_dim, 2u);
+  EXPECT_EQ(registry.Get("privtree").required_dim, 0u);
+  EXPECT_EQ(registry.Get("ug").required_dim, 0u);
 }
 
 TEST(RegistryTest, EntriesCarryDisplayAndDimMetadata) {

@@ -90,15 +90,12 @@ TEST(SequenceMethodsTest, OptionRangesScreenHostileValues) {
   auto& registry = GlobalMethodRegistry();
   const auto check = [&](const char* method, const char* key,
                          const char* value) -> Status {
-    const auto& allowed = registry.AllowedKeys(method);
-    const auto it =
-        std::find_if(allowed.begin(), allowed.end(),
-                     [&](const OptionKey& k) { return k.name == key; });
-    if (it == allowed.end()) {
+    const OptionKey* advertised = registry.Get(method).FindKey(key);
+    if (advertised == nullptr) {
       ADD_FAILURE() << method << " does not advertise option " << key;
       return Status::InvalidArgument("no such key");
     }
-    return CheckOptionValue(*it, value);
+    return CheckOptionValue(*advertised, value);
   };
   EXPECT_FALSE(check("pst_privtree", "l_top", "0").ok());
   EXPECT_FALSE(check("pst_privtree", "l_top", "-3").ok());

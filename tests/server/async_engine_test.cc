@@ -12,7 +12,9 @@
 //   * a one-box batch on a small cached release is answered before
 //     SubmitQueryBatch returns, bit-for-bit as the pool would, while bigger
 //     batches, uncached or large releases and sequence batches still wait
-//     for the pool.
+//     for the pool;
+//   * a request the watchdog fails while its fit runs is left alone by the
+//     late executor: no trace write, no kernel.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,11 +26,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/fault.h"
 #include "core/sync.h"
 #include "dp/rng.h"
 #include "dp/status.h"
 #include "eval/workload.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "release/dataset.h"
 #include "release/registry.h"
 #include "release/sequence_query.h"
@@ -399,36 +403,6 @@ TEST(AsyncEngineTest, InvalidSpecsResolveImmediately) {
   EXPECT_EQ(engine.Stats().admission.admitted, 0u);
 }
 
-TEST(AsyncEngineTest, FixedHeightTreesAreBoundedByTheirCompleteTree) {
-  const PointSet points = TestPoints(100);
-  serve::ThreadPool pool(1);
-  serve::SynopsisCache cache(4);
-  AsyncEngine engine(points, Box::UnitCube(2), pool, cache);
-  const auto validate = [&](const std::string& method,
-                            const std::string& options) {
-    return engine
-        .ValidateSpec({method, release::MethodOptions::Parse(options),
-                       kEpsilon, kSeed})
-        .code();
-  };
-  // A complete tree of at most 2^24 nodes is allowed, one level more is
-  // not.  kdtree: 2^(h+1) − 1 nodes.
-  EXPECT_EQ(validate("kdtree", "height=23"), StatusCode::kOk);
-  EXPECT_EQ(validate("kdtree", "height=24"), StatusCode::kInvalidArgument);
-  EXPECT_EQ(validate("kdtree", "height=64"), StatusCode::kInvalidArgument);
-  // simpletree on 2-d data, β = 4 by default: (4^h − 1) / 3 nodes.
-  EXPECT_EQ(validate("simpletree", "height=12"), StatusCode::kOk);
-  EXPECT_EQ(validate("simpletree", "height=13"), StatusCode::kInvalidArgument);
-  // β = 2 with one dimension per split: 2^h − 1 nodes.
-  EXPECT_EQ(validate("simpletree", "dims_per_split=1,height=24"),
-            StatusCode::kOk);
-  EXPECT_EQ(validate("simpletree", "dims_per_split=1,height=25"),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(validate("simpletree", "height=64"), StatusCode::kInvalidArgument);
-  // privtree's size is set by ε and the data, not by a height.
-  EXPECT_EQ(validate("privtree", "max_depth=4096"), StatusCode::kOk);
-}
-
 std::uint64_t InlineRequests() {
   return obs::Registry::Global().GetCounter("engine.inline_requests").Value();
 }
@@ -612,6 +586,31 @@ TEST(AsyncEngineTest, InlineRequestPastItsDeadlineNeverRuns) {
   EXPECT_TRUE(late.Get().answers.empty());
   EXPECT_EQ(engine.Stats().admission.expired, 1u);
   EXPECT_EQ(kernels.Count(), kernels_before);  // No kernel ran.
+}
+
+TEST(AsyncEngineTest, WatchdogFailedRequestLeavesItsTraceAlone) {
+  const PointSet points = TestPoints(100);
+  serve::ThreadPool pool(1);
+  serve::SynopsisCache cache(16);
+  AsyncEngine engine(points, Box::UnitCube(2), pool, cache);
+  // The fit stalls 300 ms; the 50 ms deadline passes while it runs, so the
+  // watchdog answers the request, and the event loop may finish its trace
+  // from then on.
+  ASSERT_TRUE(fault::Injector::Global()
+                  .ArmFromSpec("engine.fit=delay:delay=300:count=1")
+                  .ok());
+  const obs::TracePtr trace = obs::StartTrace();
+  Future<QueryBatchResponse> stuck = engine.SubmitQueryBatch(
+      {"ug", {}, kEpsilon, kSeed}, TestQueries(2),
+      DeadlineClock::now() + std::chrono::milliseconds(50), trace);
+  EXPECT_EQ(stuck.Get().status.code(), StatusCode::kDeadlineExceeded);
+  pool.WaitIdle();
+  fault::Injector::Global().Reset();
+  // The executor finished the fit after that answer and wrote nothing into
+  // the trace, nor ran the kernel nobody would receive.
+  EXPECT_EQ(trace->span(obs::Span::kFit), -1);
+  EXPECT_EQ(trace->span(obs::Span::kKernel), -1);
+  EXPECT_EQ(engine.Stats().watchdog_fired, 1u);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Dispatcher budget accounting on the three fit-carrying frames (Fit,
 // QueryBatch, SeqQueryBatch): a request charges the session's ε when it is
 // accepted, and a request that is then shed (queue full) or expires while
-// it waits refunds it, so the session's spent ε is as if it never came.
+// it waits refunds it, so the session's spent ε is as if it never came.  A
+// frame whose ε is not finite is refused before any charge.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -208,6 +210,28 @@ TEST_F(DispatcherBudgetTest, ShedAndExpiredRequestsLeaveSpentEpsilonUnchanged) {
   std::future<std::string> served =
       Send(Frame(MessageType::kFit, seed, /*deadline_millis=*/0), session);
   EXPECT_EQ(CodeOf(served.get()), StatusCode::kOk);
+  EXPECT_EQ(session->spent(), kEpsilon);
+}
+
+// A non-finite ε must never reach a fitter (each of them aborts on it) nor
+// a session's budget: the Fit and Warm frames that carry one are refused
+// with InvalidArgument, and the server answers the next frame.
+TEST_F(DispatcherBudgetTest, InfiniteEpsilonIsRefusedAndTheServerAnswersOn) {
+  const std::shared_ptr<ClientSession> session = dispatcher_->NewSession();
+  const FitSpec infinite{"ug", {}, std::numeric_limits<double>::infinity(),
+                         7};
+  EXPECT_EQ(CodeOf(Send(EncodeFit({infinite, 0, spatial_fp_}), session).get()),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      CodeOf(Send(EncodeWarm({spatial_fp_, {infinite}}), session).get()),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(session->spent(), 0.0);
+  pool_->WaitIdle();
+
+  EXPECT_EQ(CodeOf(Send(Frame(MessageType::kFit, 7, /*deadline_millis=*/0),
+                        session)
+                       .get()),
+            StatusCode::kOk);
   EXPECT_EQ(session->spent(), kEpsilon);
 }
 
